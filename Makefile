@@ -98,10 +98,14 @@ onchain:
 adaptive:
 	$(GO) run ./cmd/wasai-bench -exp adaptive
 
-# Write pprof profiles of the regress workload for solver-hotspot digging:
-# `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
+# Write pprof profiles of one wasai-bench experiment:
+# `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`. The default regress
+# workload is solver-heavy at 2% scale; profile the default-config wild path
+# with `make profile EXP=rq4 ARGS='-scale 0.1'`.
+EXP ?= regress
+ARGS ?=
 profile:
-	$(GO) run ./cmd/wasai-bench -exp regress -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/wasai-bench -exp $(EXP) $(ARGS) -cpuprofile cpu.pprof -memprofile mem.pprof
 
 verify: build lint chaos serve-chaos bench-regress incr fastvm verdict onchain adaptive
 	$(GO) test ./...

@@ -19,6 +19,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/contractgen"
 	"repro/internal/eos"
+	"repro/internal/wasm/exec"
 )
 
 var (
@@ -90,8 +91,12 @@ func exploit() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	compiled, err := exec.Compile(c.Module)
+	if err != nil {
+		log.Fatal(err)
+	}
 	bc := chain.New()
-	if err := bc.DeployModule(casino, c.Module, c.ABI, nil); err != nil {
+	if err := bc.DeployModule(casino, compiled, c.ABI, nil); err != nil {
 		log.Fatal(err)
 	}
 	bc.CreateAccount(player)

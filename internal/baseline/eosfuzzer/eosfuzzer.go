@@ -26,6 +26,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/trace"
 	"repro/internal/wasm"
+	"repro/internal/wasm/exec"
 )
 
 // Campaign account names (shared shape with the WASAI engine).
@@ -66,9 +67,13 @@ func Run(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eosfuzzer: instrument: %w", err)
 	}
+	compiled, err := exec.Compile(res.Module)
+	if err != nil {
+		return nil, fmt.Errorf("eosfuzzer: compile: %w", err)
+	}
 	bc := chain.New()
 	bc.Collector = trace.NewCollector()
-	if err := bc.DeployModule(victimName, res.Module, contractABI, res.Sites); err != nil {
+	if err := bc.DeployModule(victimName, compiled, contractABI, res.Sites); err != nil {
 		return nil, fmt.Errorf("eosfuzzer: deploy: %w", err)
 	}
 	bc.DeployNative(fakeTokenName, &chain.TokenContract{Issuer: fakeTokenName, Sym: eos.EOSSymbol}, abi.TransferABI())

@@ -80,10 +80,11 @@ type Config struct {
 	StaticTriage bool
 	// Verdicts runs the abstract-interpretation verdict engine
 	// (internal/static/absint) over each job's module and ABI before
-	// fuzzing. Jobs with all five oracle classes proven negative are
-	// answered with the same synthesized all-clean result a StaticTriage
-	// skip produces; jobs with a proven-positive class are scheduled
-	// confirmed-first and skip the static fuel/solver budget raise. The
+	// fuzzing. Jobs with all eight oracle classes (contractgen.Classes)
+	// proven negative are answered with the same synthesized all-clean
+	// result a StaticTriage skip produces; jobs with a proven-positive
+	// class are scheduled confirmed-first and skip the static fuel/solver
+	// budget raise. The
 	// engine never changes findings — skips rest on machine-checked
 	// negative proofs, reordering is invisible because seeds derive from
 	// job IDs, and FindingsDigest is byte-identical with verdicts on or

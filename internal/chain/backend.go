@@ -34,8 +34,8 @@ type Backend interface {
 	// Name labels the personality (diagnostics and lint audits).
 	Name() string
 	// HostEnv builds the "env" import module contracts link against.
-	// Called per instantiation; closures resolve the apply context from
-	// the VM, so one env value serves every apply on the chain.
+	// Called once per chain; closures resolve the apply context from the
+	// VM, so one env value serves every apply on the chain.
 	HostEnv(bc *Blockchain) exec.HostModule
 	// Bootstrap deploys the personality's system contracts on a fresh
 	// chain (EOSIO: the eosio.token native contract).

@@ -111,7 +111,7 @@ func TestNewWithBackendPluggability(t *testing.T) {
 	}
 
 	ctr := eos.MustName("magicctr")
-	if err := bc.DeployModule(ctr, magicModule(t), nil, nil); err != nil {
+	if err := bc.DeployModule(ctr, mustCompile(t, magicModule(t)), nil, nil); err != nil {
 		t.Fatalf("deploy against testnet backend: %v", err)
 	}
 	rcpt := bc.PushTransaction(Transaction{Actions: []Action{{
@@ -138,7 +138,7 @@ func TestNewWithBackendPluggability(t *testing.T) {
 
 	// The same module must fail to link on the default personality: the
 	// host surface really is backend-supplied, not a global.
-	if err := New().DeployModule(eos.MustName("magicctr"), magicModule(t), nil, nil); err == nil {
+	if err := New().DeployModule(eos.MustName("magicctr"), mustCompile(t, magicModule(t)), nil, nil); err == nil {
 		t.Errorf("EOSIO chain linked a module importing the testnet-only intrinsic")
 	}
 }

@@ -117,6 +117,11 @@ type Account struct {
 
 	// Native contract (nil for Wasm accounts).
 	Native NativeContract
+
+	// inst is the instance linked when Module was deployed. Every apply
+	// resets and reuses it. DeployModule replaces it, and DeployNative
+	// and UnDeploy drop it, so a redeployed account never runs stale code.
+	inst *exec.Instance
 }
 
 // HasCode reports whether the account has any contract deployed.
@@ -159,6 +164,9 @@ type Blockchain struct {
 	HoldBlocks bool
 
 	backend Backend
+	// imports is the resolver every Wasm deployment on this chain links
+	// against, built once from the backend (see newResolver).
+	imports exec.Resolver
 }
 
 // New returns an EOSIO chain with the eosio.token system contract
@@ -180,6 +188,7 @@ func NewWithBackend(b Backend) *Blockchain {
 		Fuel:           exec.DefaultFuel,
 		backend:        b,
 	}
+	bc.imports = bc.newResolver()
 	b.Bootstrap(bc)
 	return bc
 }
@@ -204,8 +213,8 @@ func (bc *Blockchain) CreateAccount(name eos.Name) *Account {
 func (bc *Blockchain) Account(name eos.Name) *Account { return bc.accounts[name] }
 
 // DeployWasm installs a Wasm contract with its ABI on an account, creating
-// the account if necessary. The module is instantiated once immediately to
-// surface link errors at deploy time, as Nodeos does.
+// the account if necessary. The module is compiled and linked immediately
+// to surface link errors at deploy time, as Nodeos does.
 func (bc *Blockchain) DeployWasm(name eos.Name, bin []byte, contractABI *abi.ABI) error {
 	m, err := wasm.Decode(bin)
 	if err != nil {
@@ -214,29 +223,28 @@ func (bc *Blockchain) DeployWasm(name eos.Name, bin []byte, contractABI *abi.ABI
 	if err := wasm.Validate(m); err != nil {
 		return fmt.Errorf("chain: deploy %s: %w", name, err)
 	}
-	a := bc.CreateAccount(name)
-	if _, err := exec.Instantiate(m, bc.resolverFor(nil)); err != nil {
-		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
+	cm, err := exec.Compile(m)
+	if err != nil {
+		return fmt.Errorf("chain: deploy %s: %w", name, err)
 	}
 	sites, err := instrument.SitesFromModule(m)
 	if err != nil {
 		return fmt.Errorf("chain: deploy %s: %w", name, err)
 	}
-	a.Module = m
-	a.ABI = contractABI
-	a.Sites = sites
-	a.Native = nil
-	return nil
+	return bc.DeployModule(name, cm, contractABI, sites)
 }
 
-// DeployModule installs an already-decoded module (skips re-decoding; used
-// by the fuzzer, which instruments modules in memory).
-func (bc *Blockchain) DeployModule(name eos.Name, m *wasm.Module, contractABI *abi.ABI, sites *instrument.SiteTable) error {
+// DeployModule installs an already-compiled module (used by the fuzzer,
+// which instruments and compiles a module once and deploys it on several
+// chains). The account gets its own instance, linked here.
+func (bc *Blockchain) DeployModule(name eos.Name, cm *exec.CompiledModule, contractABI *abi.ABI, sites *instrument.SiteTable) error {
 	a := bc.CreateAccount(name)
-	if _, err := exec.Instantiate(m, bc.resolverFor(nil)); err != nil {
+	inst, err := cm.Link(bc.imports)
+	if err != nil {
 		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
 	}
-	a.Module = m
+	a.Module = cm.Module()
+	a.inst = inst
 	a.ABI = contractABI
 	a.Sites = sites
 	a.Native = nil
@@ -249,6 +257,7 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 	a.Native = n
 	a.ABI = contractABI
 	a.Module = nil
+	a.inst = nil
 }
 
 // UnDeploy removes the contract from an account (the paper's "abandoned"
@@ -256,6 +265,7 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 func (bc *Blockchain) UnDeploy(name eos.Name) {
 	if a, ok := bc.accounts[name]; ok {
 		a.Module = nil
+		a.inst = nil
 		a.Native = nil
 	}
 }
@@ -422,22 +432,20 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	return ctx.notified, ctx.inline, nil
 }
 
-// applyWasm instantiates the account's module and invokes its apply entry.
+// applyWasm runs the account's apply entry on its deployed instance,
+// reset to the state linking produced. One instance per account suffices
+// because an account's apply is never re-entered while it runs:
+// notifications and inline actions are dispatched by applyActionTree only
+// after applyOne returns, and native contracts only queue them.
 func (bc *Blockchain) applyWasm(ctx *Context, acct *Account) error {
-	inst, err := exec.Instantiate(acct.Module, bc.resolverFor(ctx))
-	if err != nil {
-		return fmt.Errorf("chain: instantiate %s: %w", acct.Name, err)
-	}
+	inst := acct.inst
+	inst.Reset()
 	vm := exec.NewVM(inst)
 	if bc.FastVM {
 		vm = exec.NewFastVM(inst)
 	}
 	vm.SetFuel(bc.Fuel)
 	vm.Context = ctx
-	ctx.vm = vm
-	_, err = vm.Invoke("apply", uint64(ctx.Receiver), uint64(ctx.Code), uint64(ctx.Action))
-	if err != nil {
-		return err
-	}
-	return nil
+	_, err := vm.Invoke("apply", uint64(ctx.Receiver), uint64(ctx.Code), uint64(ctx.Action))
+	return err
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/eos"
-	"repro/internal/wasm/exec"
 )
 
 // Context is the apply context of one contract execution: the state the
@@ -34,8 +33,6 @@ type Context struct {
 	deferred []Transaction
 	dbOps    []DBOp
 	depth    int
-
-	vm *exec.VM
 }
 
 // Chain returns the blockchain this context executes on.

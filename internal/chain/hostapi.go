@@ -86,26 +86,26 @@ func readCStr(vm *exec.VM, ptr uint32) string {
 	return string(mem[ptr:end])
 }
 
-// resolverFor builds the import resolver for executing a contract under ctx.
-// ctx may be nil at deploy-time link checking. The "env" intrinsic surface
-// comes from the chain's backend; the wasai.* instrumentation hooks and the
-// fault injector stay at the chain layer — they are pipeline machinery, not
-// personality semantics, so every backend gets them for free.
-func (bc *Blockchain) resolverFor(ctx *Context) exec.Resolver {
+// newResolver builds the import resolver for the chain's Wasm deployments.
+// The "env" intrinsic surface comes from the chain's backend; the wasai.*
+// instrumentation hooks and the fault injector stay at the chain layer —
+// they are pipeline machinery, not personality semantics, so every backend
+// gets them for free. Every closure reads the apply context from the VM
+// at call time, so one resolver serves every apply on the chain.
+func (bc *Blockchain) newResolver() exec.Resolver {
 	env := bc.backend.HostEnv(bc)
-	if bc.Faults != nil {
-		// Interpose the fault injector ahead of every env intrinsic. The
-		// wasai.* hook module is left unwrapped: instrumentation callbacks
-		// are bookkeeping, not chain semantics, and faulting them would
-		// perturb coverage rather than model a host failure.
-		for name, fn := range env {
-			name, fn := name, fn
-			env[name] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
-				if err := bc.Faults.HostCall(name); err != nil {
-					return nil, err
-				}
-				return fn(vm, args)
+	// Interpose the fault injector ahead of every env intrinsic. It reads
+	// bc.Faults at call time, not at link time, because fuzz.New arms
+	// faults only after deploying the target. The wasai.* hook module is
+	// left unwrapped: instrumentation callbacks are bookkeeping, not chain
+	// semantics, and faulting them would perturb coverage rather than
+	// model a host failure.
+	for name, fn := range env {
+		env[name] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
+			if err := bc.Faults.HostCall(name); err != nil {
+				return nil, err
 			}
+			return fn(vm, args)
 		}
 	}
 	return exec.Resolver{

@@ -91,7 +91,7 @@ func TestHostAPISurface(t *testing.T) {
 	bc := New()
 	m := hostAPIModule(t)
 	ctr := eos.MustName("apitest")
-	if err := bc.DeployModule(ctr, m, nil, nil); err != nil {
+	if err := bc.DeployModule(ctr, mustCompile(t, m), nil, nil); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	rcpt := bc.PushTransaction(Transaction{Actions: []Action{{

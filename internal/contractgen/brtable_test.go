@@ -55,7 +55,7 @@ func TestBrTableFlipSteersArms(t *testing.T) {
 	}
 	bc := chain.New()
 	bc.Collector = trace.NewCollector()
-	if err := bc.DeployModule(victim, res.Module, TransferFieldsABI(eos.ActionTransfer), res.Sites); err != nil {
+	if err := bc.DeployModule(victim, mustCompile(t, res.Module), TransferFieldsABI(eos.ActionTransfer), res.Sites); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 

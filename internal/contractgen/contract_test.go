@@ -9,12 +9,23 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/trace"
 	"repro/internal/wasm"
+	"repro/internal/wasm/exec"
 )
 
 var (
 	victim   = eos.MustName("victim")
 	attacker = eos.MustName("attacker")
 )
+
+// mustCompile compiles m for deployment, failing the test on error.
+func mustCompile(t *testing.T, m *wasm.Module) *exec.CompiledModule {
+	t.Helper()
+	cm, err := exec.Compile(m)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return cm
+}
 
 func generate(t *testing.T, spec Spec) *Contract {
 	t.Helper()
@@ -56,7 +67,7 @@ func deployInstrumented(t *testing.T, bc *chain.Blockchain, name eos.Name, c *Co
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
 	}
-	if err := bc.DeployModule(name, res.Module, c.ABI, res.Sites); err != nil {
+	if err := bc.DeployModule(name, mustCompile(t, res.Module), c.ABI, res.Sites); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	return res.Sites

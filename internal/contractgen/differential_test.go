@@ -30,7 +30,7 @@ func TestDifferentialSymbolicVsConcrete(t *testing.T) {
 		bc := chain.New()
 		bc.Collector = trace.NewCollector()
 		abi := TransferFieldsABI(eos.ActionTransfer)
-		if err := bc.DeployModule(victim, res.Module, abi, res.Sites); err != nil {
+		if err := bc.DeployModule(victim, mustCompile(t, res.Module), abi, res.Sites); err != nil {
 			t.Fatalf("round %d: deploy: %v", round, err)
 		}
 

@@ -26,7 +26,7 @@ func TestObfuscatePreservesBehaviour(t *testing.T) {
 			}
 		}
 		bc := chain.New()
-		if err := bc.DeployModule(victim, c.Module, c.ABI, nil); err != nil {
+		if err := bc.DeployModule(victim, mustCompile(t, c.Module), c.ABI, nil); err != nil {
 			t.Fatal(err)
 		}
 		agent := eos.MustName("fake.notif")

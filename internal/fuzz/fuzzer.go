@@ -19,6 +19,7 @@ import (
 	"repro/internal/symexec"
 	"repro/internal/trace"
 	"repro/internal/wasm"
+	"repro/internal/wasm/exec"
 )
 
 // Well-known campaign accounts.
@@ -160,17 +161,18 @@ func ExpandCoverage(points []CoveragePoint, iterations int) []int {
 
 // Fuzzer is the WASAI engine bound to one target contract.
 type Fuzzer struct {
-	cfg     Config
-	mod     *wasm.Module // original (pre-instrumentation) module
-	instr   *instrument.Result
-	abi     *abi.ABI
-	bc      *chain.Blockchain
-	scan    *scanner.Scanner
-	rng     *rand.Rand
-	solver  *symbolic.Solver
-	dbg     *DBG
-	seeds   *pool
-	actions []eos.Name
+	cfg      Config
+	mod      *wasm.Module // original (pre-instrumentation) module
+	instr    *instrument.Result
+	compiled *exec.CompiledModule // instr.Module, compiled once per job
+	abi      *abi.ABI
+	bc       *chain.Blockchain
+	scan     *scanner.Scanner
+	rng      *rand.Rand
+	solver   *symbolic.Solver
+	dbg      *DBG
+	seeds    *pool
+	actions  []eos.Name
 
 	ctx context.Context // the campaign context while RunContext is active
 
@@ -232,7 +234,13 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	if cfg.Static != nil && cfg.SolverConflicts > 0 {
 		cfg.SolverConflicts = cfg.Static.SolverBudget(cfg.SolverConflicts)
 	}
-	if err := bc.DeployModule(victimName, res.Module, contractABI, res.Sites); err != nil {
+	// Compile the instrumented module once: the campaign chain and every
+	// scenario chain link their instances from it.
+	compiled, err := exec.Compile(res.Module)
+	if err != nil {
+		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: compile target: %w", err))
+	}
+	if err := bc.DeployModule(victimName, compiled, contractABI, res.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: deploy target: %w", err))
 	}
 	// Arm fault injection only after deployment: the faults model runtime
@@ -256,6 +264,7 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 		cfg:            cfg,
 		mod:            mod,
 		instr:          res,
+		compiled:       compiled,
 		abi:            contractABI,
 		bc:             bc,
 		scan:           scanner.New(mod, victimName),

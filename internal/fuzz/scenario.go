@@ -72,7 +72,7 @@ func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
 	bc.Collector = trace.NewCollector()
 	bc.FastVM = f.cfg.FastVM
 	bc.Fuel = f.bc.Fuel
-	if err := bc.DeployModule(victimName, f.instr.Module, f.abi, f.instr.Sites); err != nil {
+	if err := bc.DeployModule(victimName, f.compiled, f.abi, f.instr.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: scenario deploy: %w", err))
 	}
 	if err := bc.Issue(eos.TokenContract, victimName, eos.EOS(1_000_000_000_000)); err != nil {

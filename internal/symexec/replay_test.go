@@ -10,12 +10,24 @@ import (
 	"repro/internal/symbolic"
 	"repro/internal/symexec"
 	"repro/internal/trace"
+	"repro/internal/wasm"
+	"repro/internal/wasm/exec"
 )
 
 var (
 	victim   = eos.MustName("victim")
 	attacker = eos.MustName("attacker")
 )
+
+// mustCompile compiles m for deployment, failing the test on error.
+func mustCompile(t *testing.T, m *wasm.Module) *exec.CompiledModule {
+	t.Helper()
+	cm, err := exec.Compile(m)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return cm
+}
 
 // harness deploys an instrumented contract and provides invocation and
 // replay plumbing.
@@ -37,7 +49,7 @@ func newHarness(t *testing.T, spec contractgen.Spec) *harness {
 	}
 	bc := chain.New()
 	bc.Collector = trace.NewCollector()
-	if err := bc.DeployModule(victim, res.Module, c.ABI, res.Sites); err != nil {
+	if err := bc.DeployModule(victim, mustCompile(t, res.Module), c.ABI, res.Sites); err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
 	bc.CreateAccount(attacker)
@@ -294,7 +306,7 @@ func TestReplayObfuscatedContract(t *testing.T) {
 	}
 	bc := chain.New()
 	bc.Collector = trace.NewCollector()
-	if err := bc.DeployModule(victim, res.Module, c.ABI, res.Sites); err != nil {
+	if err := bc.DeployModule(victim, mustCompile(t, res.Module), c.ABI, res.Sites); err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
 	bc.CreateAccount(attacker)

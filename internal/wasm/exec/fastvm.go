@@ -23,10 +23,11 @@ type FastObserver func(funcIndex uint32, pc int, cost int)
 // NewFastVM returns a VM over inst that executes through the decoded-IR
 // engine. Function bodies the conservative IR compiler rejects fall back
 // to the reference tree-walker transparently, so observable behaviour is
-// identical to NewVM in every case.
+// identical to NewVM in every case. Every fast VM over instances of one
+// CompiledModule shares the module's IR, compiled on the first call.
 func NewFastVM(inst *Instance) *VM {
 	vm := NewVM(inst)
-	vm.prog = programFor(inst.module)
+	vm.prog = inst.compiled.program()
 	return vm
 }
 
@@ -149,10 +150,10 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 		case irCallInd:
 			sp--
 			ti := st[sp]
-			if int(ti) >= len(vm.inst.table) {
+			if int(ti) >= len(vm.inst.compiled.table) {
 				return nil, &Trap{Kind: TrapUndefinedElement, FuncIndex: f.index, PC: pc}
 			}
-			fi := vm.inst.table[ti]
+			fi := vm.inst.compiled.table[ti]
 			if fi < 0 {
 				return nil, &Trap{Kind: TrapUndefinedElement, FuncIndex: f.index, PC: pc}
 			}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/contractgen"
@@ -16,12 +17,19 @@ type semOutcome struct {
 	notes   []uint64
 }
 
-func runSemEngine(t *testing.T, p *contractgen.SemProgram, fast bool) semOutcome {
+// semRunner executes one generated module on a single linked instance,
+// recording the host-call sequence of each run.
+type semRunner struct {
+	inst  *Instance
+	notes []uint64
+}
+
+func newSemRunner(t *testing.T, p *contractgen.SemProgram) *semRunner {
 	t.Helper()
-	var notes []uint64
+	r := &semRunner{}
 	resolver := Resolver{"sem": HostModule{
 		"note": func(vm *VM, args []uint64) ([]uint64, error) {
-			notes = append(notes, args[0])
+			r.notes = append(r.notes, args[0])
 			return nil, nil
 		},
 	}}
@@ -29,14 +37,20 @@ func runSemEngine(t *testing.T, p *contractgen.SemProgram, fast bool) semOutcome
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
-	var vm *VM
+	r.inst = inst
+	return r
+}
+
+// run invokes "run" once on a new VM of the chosen engine.
+func (r *semRunner) run(t *testing.T, fast bool) semOutcome {
+	t.Helper()
+	r.notes = nil
+	vm := NewVM(r.inst)
 	if fast {
-		vm = NewFastVM(inst)
-	} else {
-		vm = NewVM(inst)
+		vm = NewFastVM(r.inst)
 	}
 	res, err := vm.Invoke("run")
-	out := semOutcome{result: res, memHash: memHash(inst.mem), notes: notes}
+	out := semOutcome{result: res, memHash: memHash(r.inst.mem), notes: r.notes}
 	if err != nil {
 		tr, ok := AsTrap(err)
 		if !ok {
@@ -49,47 +63,68 @@ func runSemEngine(t *testing.T, p *contractgen.SemProgram, fast bool) semOutcome
 	return out
 }
 
+// diff describes the first observable difference between two outcomes,
+// or returns "" when they agree on traps, results, fuel (on success),
+// final memory and host-call sequence.
+func (a semOutcome) diff(b semOutcome) string {
+	if a.trap != b.trap {
+		return fmt.Sprintf("trap divergence: %v vs %v", a.trap, b.trap)
+	}
+	if a.trap == 0 {
+		if len(a.result) != 1 || len(b.result) != 1 || a.result[0] != b.result[0] {
+			return fmt.Sprintf("result divergence: %v vs %v", a.result, b.result)
+		}
+		if a.fuel != b.fuel {
+			return fmt.Sprintf("fuel divergence: %d vs %d", a.fuel, b.fuel)
+		}
+	}
+	if a.memHash != b.memHash {
+		return "final memory divergence"
+	}
+	if len(a.notes) != len(b.notes) {
+		return fmt.Sprintf("host-call sequence length divergence: %d vs %d", len(a.notes), len(b.notes))
+	}
+	for i := range a.notes {
+		if a.notes[i] != b.notes[i] {
+			return fmt.Sprintf("host-call divergence at %d: %#x vs %#x", i, a.notes[i], b.notes[i])
+		}
+	}
+	return ""
+}
+
 // TestGenerativeDifferentialGate is the fast-engine acceptance gate: 1024
 // seeded self-checking programs must agree between the fast and reference
 // engines on traps, return values, final memory hashes, host-call
 // sequences — and, on success, fuel consumed. The programs self-check, so
 // a pass also means both engines computed every folded constant correctly.
+// A second leg runs each program twice on one instance with Reset in
+// between, on both engines: the second run must be indistinguishable from
+// a run on a fresh instance, as the chain's per-apply reuse requires.
 func TestGenerativeDifferentialGate(t *testing.T) {
 	const seeds = 1024
 	compiled := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		p := contractgen.GenerateSemantics(seed)
-		ref := runSemEngine(t, p, false)
-		fast := runSemEngine(t, p, true)
+		ref := newSemRunner(t, p).run(t, false)
+		fast := newSemRunner(t, p).run(t, true)
 
-		if ref.trap != fast.trap {
-			t.Fatalf("seed %d: trap divergence: reference %v, fast %v", seed, ref.trap, fast.trap)
+		if d := ref.diff(fast); d != "" {
+			t.Fatalf("seed %d: reference vs fast: %s", seed, d)
 		}
-		if ref.trap == 0 {
-			if len(ref.result) != 1 || len(fast.result) != 1 || ref.result[0] != fast.result[0] {
-				t.Fatalf("seed %d: result divergence: %v vs %v", seed, ref.result, fast.result)
-			}
-			if ref.result[0] != p.Return {
-				t.Fatalf("seed %d: both engines returned %#x, generator predicted %#x", seed, ref.result[0], p.Return)
-			}
-			if ref.fuel != fast.fuel {
-				t.Fatalf("seed %d: fuel divergence: reference %d, fast %d", seed, ref.fuel, fast.fuel)
-			}
+		if ref.trap == 0 && ref.result[0] != p.Return {
+			t.Fatalf("seed %d: both engines returned %#x, generator predicted %#x", seed, ref.result[0], p.Return)
 		}
-		if ref.memHash != fast.memHash {
-			t.Fatalf("seed %d: final memory divergence", seed)
-		}
-		if len(ref.notes) != len(fast.notes) {
-			t.Fatalf("seed %d: host-call sequence length divergence: %d vs %d", seed, len(ref.notes), len(fast.notes))
-		}
-		for i := range ref.notes {
-			if ref.notes[i] != fast.notes[i] {
-				t.Fatalf("seed %d: host-call divergence at %d: %#x vs %#x", seed, i, ref.notes[i], fast.notes[i])
+		for _, engine := range []bool{false, true} {
+			r := newSemRunner(t, p)
+			r.run(t, engine)
+			r.inst.Reset()
+			if d := ref.diff(r.run(t, engine)); d != "" {
+				t.Fatalf("seed %d: fresh vs reset instance (fast=%v): %s", seed, engine, d)
 			}
 		}
 
 		// The gate is vacuous if the IR compiler rejects everything.
-		prog := programFor(p.Module)
+		prog := compileModule(p.Module)
 		if idx, ok := p.Module.ExportedFunc("run"); ok && prog.funcs[idx] != nil {
 			compiled++
 		}

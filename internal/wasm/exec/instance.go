@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/wasm"
 )
@@ -31,60 +32,79 @@ type funcDef struct {
 	index uint32
 }
 
-// Instance is an instantiated module: resolved functions, initialized
-// memory, table and globals.
-type Instance struct {
+// CompiledModule holds everything instantiation derives from a module
+// alone: the function index space with per-function control metadata,
+// the initial globals, the table after element initialization and the
+// memory image after data initialization. The decoded IR of the fast
+// engine is compiled lazily, once, on the first fast VM. A CompiledModule
+// is immutable after Compile (the lazy IR is guarded by a sync.Once), so
+// one value can back any number of instances on any goroutine.
+type CompiledModule struct {
 	module  *wasm.Module
-	funcs   []funcDef
+	funcs   []funcDef // imports have no host binding; Link supplies it
 	globals []uint64
 	table   []int32 // function indices; -1 marks an uninitialized element
 	mem     []byte
 	memMax  uint32 // in pages; 0 means unlimited
 
+	progOnce sync.Once
+	prog     *irProgram
+}
+
+// Instance is a compiled module linked against host functions, with its
+// own memory and globals. It reads the table from the compiled module: no
+// instruction of the supported feature set writes a table.
+type Instance struct {
+	compiled *CompiledModule
+	funcs    []funcDef
+	globals  []uint64
+	mem      []byte
+
 	// MaxCallDepth bounds recursion (default 250, matching EOSVM).
 	MaxCallDepth int
 }
 
-// Instantiate links a module against the resolver and runs data/element
-// segment initialization. The start function, if any, is NOT run
-// automatically (EOSIO contracts do not use it); call Invoke explicitly.
+// Instantiate compiles m and links it against r, for callers that run a
+// module once. The start function, if any, is NOT run automatically
+// (EOSIO contracts do not use it); call Invoke explicitly.
 func Instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
-	inst := &Instance{module: m, MaxCallDepth: 250}
+	c, err := Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	return c.Link(r)
+}
+
+// Compile derives the module-level execution state of m and runs
+// data/element segment initialization into the compiled images.
+func Compile(m *wasm.Module) (*CompiledModule, error) {
+	c := &CompiledModule{module: m}
 
 	for _, imp := range m.Imports {
 		switch imp.Kind {
 		case wasm.ExternalFunc:
-			hm, ok := r[imp.Module]
-			if !ok {
-				return nil, fmt.Errorf("exec: unresolved import module %q", imp.Module)
-			}
-			fn, ok := hm[imp.Name]
-			if !ok {
-				return nil, fmt.Errorf("exec: unresolved import %q.%q", imp.Module, imp.Name)
-			}
 			if int(imp.TypeIndex) >= len(m.Types) {
 				return nil, fmt.Errorf("exec: import %q.%q type index out of range", imp.Module, imp.Name)
 			}
-			inst.funcs = append(inst.funcs, funcDef{
+			c.funcs = append(c.funcs, funcDef{
 				typ:   m.Types[imp.TypeIndex],
-				host:  fn,
 				name:  imp.Module + "." + imp.Name,
-				index: uint32(len(inst.funcs)),
+				index: uint32(len(c.funcs)),
 			})
 		case wasm.ExternalGlobal:
 			return nil, fmt.Errorf("exec: global imports are not supported (%q.%q)", imp.Module, imp.Name)
 		case wasm.ExternalMemory:
 			mem := imp.Memory
-			inst.mem = make([]byte, int(mem.Limits.Min)*PageSize)
+			c.mem = make([]byte, int(mem.Limits.Min)*PageSize)
 			if mem.Limits.HasMax {
-				inst.memMax = mem.Limits.Max
+				c.memMax = mem.Limits.Max
 			}
 		case wasm.ExternalTable:
-			inst.table = newTable(imp.Table.Limits.Min)
+			c.table = newTable(imp.Table.Limits.Min)
 		}
 	}
 
-	imported := len(inst.funcs)
+	imported := len(c.funcs)
 	for i, ti := range m.Funcs {
 		if int(ti) >= len(m.Types) {
 			return nil, fmt.Errorf("exec: func %d type index out of range", i)
@@ -95,7 +115,7 @@ func Instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
 			return nil, fmt.Errorf("exec: func %d: %w", imported+i, err)
 		}
 		idx := uint32(imported + i)
-		inst.funcs = append(inst.funcs, funcDef{
+		c.funcs = append(c.funcs, funcDef{
 			typ:   m.Types[ti],
 			code:  code,
 			meta:  meta,
@@ -105,53 +125,100 @@ func Instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
 	}
 
 	for _, t := range m.Tables {
-		inst.table = newTable(t.Limits.Min)
+		c.table = newTable(t.Limits.Min)
 	}
 	for _, mm := range m.Memories {
-		inst.mem = make([]byte, int(mm.Limits.Min)*PageSize)
+		c.mem = make([]byte, int(mm.Limits.Min)*PageSize)
 		if mm.Limits.HasMax {
-			inst.memMax = mm.Limits.Max
+			c.memMax = mm.Limits.Max
 		}
 	}
 
 	for _, g := range m.Globals {
-		v, err := inst.evalConst(g.Init)
+		v, err := c.evalConst(g.Init)
 		if err != nil {
 			return nil, fmt.Errorf("exec: global init: %w", err)
 		}
-		inst.globals = append(inst.globals, v)
+		c.globals = append(c.globals, v)
 	}
 
 	for i, el := range m.Elems {
-		off, err := inst.evalConst(el.Offset)
+		off, err := c.evalConst(el.Offset)
 		if err != nil {
 			return nil, fmt.Errorf("exec: elem %d offset: %w", i, err)
 		}
 		base := int(uint32(off))
-		if base+len(el.Funcs) > len(inst.table) {
-			return nil, fmt.Errorf("exec: elem %d writes outside table (base %d, %d funcs, table %d)", i, base, len(el.Funcs), len(inst.table))
+		if base+len(el.Funcs) > len(c.table) {
+			return nil, fmt.Errorf("exec: elem %d writes outside table (base %d, %d funcs, table %d)", i, base, len(el.Funcs), len(c.table))
 		}
 		for j, fi := range el.Funcs {
-			if int(fi) >= len(inst.funcs) {
+			if int(fi) >= len(c.funcs) {
 				return nil, fmt.Errorf("exec: elem %d entry %d: function %d out of range", i, j, fi)
 			}
-			inst.table[base+j] = int32(fi)
+			c.table[base+j] = int32(fi)
 		}
 	}
 
 	for i, seg := range m.Data {
-		off, err := inst.evalConst(seg.Offset)
+		off, err := c.evalConst(seg.Offset)
 		if err != nil {
 			return nil, fmt.Errorf("exec: data %d offset: %w", i, err)
 		}
 		base := int(uint32(off))
-		if base+len(seg.Data) > len(inst.mem) {
-			return nil, fmt.Errorf("exec: data %d writes outside memory (base %d, %d bytes, memory %d)", i, base, len(seg.Data), len(inst.mem))
+		if base+len(seg.Data) > len(c.mem) {
+			return nil, fmt.Errorf("exec: data %d writes outside memory (base %d, %d bytes, memory %d)", i, base, len(seg.Data), len(c.mem))
 		}
-		copy(inst.mem[base:], seg.Data)
+		copy(c.mem[base:], seg.Data)
 	}
 
-	return inst, nil
+	return c, nil
+}
+
+// Link binds the imported functions to r and returns a fresh instance
+// with its own copy of the memory image and globals.
+func (c *CompiledModule) Link(r Resolver) (*Instance, error) {
+	funcs := append([]funcDef(nil), c.funcs...)
+	i := 0
+	for _, imp := range c.module.Imports {
+		if imp.Kind != wasm.ExternalFunc {
+			continue
+		}
+		hm, ok := r[imp.Module]
+		if !ok {
+			return nil, fmt.Errorf("exec: unresolved import module %q", imp.Module)
+		}
+		fn, ok := hm[imp.Name]
+		if !ok {
+			return nil, fmt.Errorf("exec: unresolved import %q.%q", imp.Module, imp.Name)
+		}
+		funcs[i].host = fn
+		i++
+	}
+	return &Instance{
+		compiled:     c,
+		funcs:        funcs,
+		globals:      append([]uint64(nil), c.globals...),
+		mem:          append([]byte(nil), c.mem...),
+		MaxCallDepth: 250,
+	}, nil
+}
+
+// Module returns the compiled module's source.
+func (c *CompiledModule) Module() *wasm.Module { return c.module }
+
+// program returns the decoded IR, compiling it on first use.
+func (c *CompiledModule) program() *irProgram {
+	c.progOnce.Do(func() { c.prog = compileModule(c.module) })
+	return c.prog
+}
+
+// Reset returns the instance to the state Link produced: memory length
+// and bytes from the compiled image, globals at their initial values.
+// Host bindings, the table and MaxCallDepth are kept. Reset reuses the
+// memory buffer (see Memory).
+func (inst *Instance) Reset() {
+	inst.mem = append(inst.mem[:0], inst.compiled.mem...)
+	copy(inst.globals, inst.compiled.globals)
 }
 
 func newTable(n uint32) []int32 {
@@ -162,7 +229,7 @@ func newTable(n uint32) []int32 {
 	return t
 }
 
-func (inst *Instance) evalConst(expr []wasm.Instr) (uint64, error) {
+func (c *CompiledModule) evalConst(expr []wasm.Instr) (uint64, error) {
 	if len(expr) != 1 {
 		return 0, fmt.Errorf("unsupported constant expression of length %d", len(expr))
 	}
@@ -175,20 +242,23 @@ func (inst *Instance) evalConst(expr []wasm.Instr) (uint64, error) {
 	case wasm.OpF32Const, wasm.OpF64Const:
 		return in.Imm, nil
 	case wasm.OpGlobalGet:
-		if int(in.A) >= len(inst.globals) {
+		if int(in.A) >= len(c.globals) {
 			return 0, fmt.Errorf("global.get %d out of range in constant expression", in.A)
 		}
-		return inst.globals[in.A], nil
+		return c.globals[in.A], nil
 	default:
 		return 0, fmt.Errorf("unsupported opcode %s in constant expression", in.Op.Name())
 	}
 }
 
 // Module returns the underlying module.
-func (inst *Instance) Module() *wasm.Module { return inst.module }
+func (inst *Instance) Module() *wasm.Module { return inst.compiled.module }
 
 // Memory returns the linear memory backing store. Host functions may read
-// and write it directly; bounds are the caller's responsibility.
+// and write it directly; bounds are the caller's responsibility. The
+// slice aliases the instance's buffer, which memory.grow may replace and
+// Reset overwrites for the next run, so a caller must copy out any bytes
+// it keeps beyond the current host call (ReadMemory does).
 func (inst *Instance) Memory() []byte { return inst.mem }
 
 // MemSize returns the memory size in bytes.
@@ -218,10 +288,11 @@ func (inst *Instance) WriteMemory(addr uint32, p []byte) error {
 // TableGet returns the function index stored at table element i, or false
 // when i is out of range or the element is uninitialized.
 func (inst *Instance) TableGet(i uint32) (uint32, bool) {
-	if int(i) >= len(inst.table) || inst.table[i] < 0 {
+	table := inst.compiled.table
+	if int(i) >= len(table) || table[i] < 0 {
 		return 0, false
 	}
-	return uint32(inst.table[i]), true
+	return uint32(table[i]), true
 }
 
 // GlobalValue returns the current value of global idx.
@@ -247,7 +318,7 @@ func (inst *Instance) grow(pages uint32) int32 {
 		return int32(cur)
 	}
 	next := uint64(cur) + uint64(pages)
-	if inst.memMax != 0 && next > uint64(inst.memMax) {
+	if limit := inst.compiled.memMax; limit != 0 && next > uint64(limit) {
 		return -1
 	}
 	if next > 65536 { // 4GiB hard cap

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/wasm"
 )
@@ -135,25 +134,6 @@ type irProgram struct {
 	funcs     []*irFunc // indexed by function-space index
 	funcCanon []uint32  // canonical type id per function-space index
 	typeCanon []uint32  // canonical type id per module type index
-}
-
-// irCache memoizes compiled programs by module identity. Modules are
-// immutable once decoded, and compilation is a pure function of the body
-// bytes, so the cache can never change observable behaviour — it only
-// removes duplicated decode work across the many short-lived VMs the
-// chain layer creates.
-//
-//wasai:localcache decoded IR is a pure function of the immutable module, keyed by pointer identity
-var irCache sync.Map // *wasm.Module -> *irProgram
-
-// programFor returns the decoded program for m, compiling it on first use.
-func programFor(m *wasm.Module) *irProgram {
-	if p, ok := irCache.Load(m); ok {
-		return p.(*irProgram)
-	}
-	p := compileModule(m)
-	actual, _ := irCache.LoadOrStore(m, p)
-	return actual.(*irProgram)
 }
 
 // compileModule lowers every local function body, recording nil for any

@@ -7,8 +7,8 @@ import "repro/internal/wasm"
 // instruction stream the fast engine executes — same lowering, same fusion,
 // same pre-resolved branch targets — instead of re-deriving its own IR and
 // risking a semantic gap between what is proven and what runs. Everything
-// here is an immutable view: the underlying program is shared with the
-// dispatch loop and cached per module.
+// here is an immutable view of a program compiled by the same lowering the
+// dispatch loop runs.
 
 // IROp is the exported name of the decoded opcode enumeration.
 type IROp = irOp
@@ -148,10 +148,10 @@ type IRView struct {
 	p *irProgram
 }
 
-// IRFor returns the decoded-IR view for m, compiling (and caching) on
-// first use — the same cache the fast engine reads.
+// IRFor compiles the decoded-IR view of m: the program the fast engine
+// runs for m.
 func IRFor(m *wasm.Module) *IRView {
-	return &IRView{p: programFor(m)}
+	return &IRView{p: compileModule(m)}
 }
 
 // Func returns the view of the function at index idx in the function index

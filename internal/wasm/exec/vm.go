@@ -44,7 +44,7 @@ func (vm *VM) Instance() *Instance { return vm.inst }
 
 // Invoke calls the exported function with the given name.
 func (vm *VM) Invoke(name string, args ...uint64) ([]uint64, error) {
-	idx, ok := vm.inst.module.ExportedFunc(name)
+	idx, ok := vm.inst.compiled.module.ExportedFunc(name)
 	if !ok {
 		return nil, fmt.Errorf("exec: no exported function %q", name)
 	}
@@ -221,15 +221,15 @@ func (vm *VM) exec(f *funcDef, args []uint64) (results []uint64, err error) {
 			stack = append(stack, res...)
 		case wasm.OpCallIndirect:
 			ti := pop()
-			if int(ti) >= len(vm.inst.table) {
+			if int(ti) >= len(vm.inst.compiled.table) {
 				return nil, trap(TrapUndefinedElement, pc)
 			}
-			fi := vm.inst.table[ti]
+			fi := vm.inst.compiled.table[ti]
 			if fi < 0 {
 				return nil, trap(TrapUndefinedElement, pc)
 			}
 			callee := &vm.inst.funcs[fi]
-			want := vm.inst.module.Types[in.A]
+			want := vm.inst.compiled.module.Types[in.A]
 			if !callee.typ.Equal(want) {
 				return nil, trap(TrapIndirectCallTypeMismatch, pc)
 			}

@@ -106,7 +106,7 @@ type Config struct {
 	// Adaptive.
 	SaturationWindow int
 	// Verdicts runs the abstract-interpretation verdict engine
-	// (internal/static/absint) before fuzzing. A contract whose five
+	// (internal/static/absint) before fuzzing. A contract whose eight
 	// classes are all proven negative is answered immediately with the
 	// all-clean report the campaign would have produced (its execution
 	// counters are zero); everything else fuzzes as usual. Trace capture
@@ -132,8 +132,9 @@ func DefaultConfig() Config {
 
 // Finding is one vulnerability-class verdict.
 type Finding struct {
-	// Class is the vulnerability class name ("Fake EOS", "Fake Notif",
-	// "MissAuth", "BlockinfoDep", "Rollback").
+	// Class is the vulnerability class name: "Fake EOS", "Fake Notif",
+	// "MissAuth", "BlockinfoDep", "Rollback", "StateTamper", "OrderDep"
+	// or "CrossContract".
 	Class string
 	// Vulnerable reports whether the campaign's oracle flagged the class.
 	Vulnerable bool
