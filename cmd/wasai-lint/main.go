@@ -2,8 +2,9 @@
 // lint` (and so by `make verify`). It enforces two repo-specific invariants
 // that go vet cannot know about:
 //
-//   - nondeterminism: the deterministic core packages (internal/campaign,
-//     internal/chain, internal/fuzz, internal/symbolic, internal/static) promise
+//   - nondeterminism: the deterministic core packages (corePackages below:
+//     internal/campaign, internal/chain, internal/fuzz, internal/symbolic,
+//     internal/symexec, internal/static, internal/trace and more) promise
 //     byte-identical results for identical inputs. Wall-clock reads
 //     (time.Now / time.Since / time.Until) and unseeded math/rand calls
 //     (anything but rand.New / rand.NewSource) break that promise, so they
@@ -66,7 +67,9 @@ var corePackages = []string{
 	"internal/fuzz",
 	"internal/schedule",
 	"internal/symbolic",
+	"internal/symexec",
 	"internal/static",
+	"internal/trace",
 	"internal/memo",
 	"internal/wasm/exec",
 	"internal/wal",

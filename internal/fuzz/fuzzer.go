@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/abi"
 	"repro/internal/chain"
@@ -183,6 +184,12 @@ type Fuzzer struct {
 	replayErr int
 	iter      int
 
+	// replays skips Symback replays whose effect is already known (see
+	// feedback); Finish drops it. skipHook, set only by tests, sees every
+	// skipped replay.
+	replays  replayCache
+	skipHook func(tr *trace.Trace, params []symexec.Param, cached *replayEntry)
+
 	// Phase/adaptive state (see RunPhase): the iteration budget grows via
 	// ContinuePhase grants, the planner drives arm selection when
 	// Config.Adaptive, and lastSeed/seedUpdates carry the served seed slot
@@ -274,6 +281,7 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 		seeds:          newPool(),
 		coverage:       map[trace.BranchKey]struct{}{},
 		attempted:      map[symexec.BranchTarget]bool{},
+		replays:        replayCache{limit: maxReplayCacheEvents},
 		lastRevertRead: map[eos.Name]chain.DBOp{},
 	}
 	for _, act := range contractABI.Actions {
@@ -446,6 +454,9 @@ func (f *Fuzzer) Finish(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("fuzz: Finish called twice") //wasai:rawerr API-misuse guard, never reached by the drivers
 	}
 	f.finished = true
+	// The replay cache is job-local, but a Fuzzer can outlive its job: the
+	// adaptive campaign holds every job's fuzzer until the whole batch ends.
+	f.replays = replayCache{}
 	// Close the change-point series with a final sample so the series
 	// records how long the campaign ran.
 	if n := len(f.covSeries); f.iter > 0 && (n == 0 || f.covSeries[n-1].Iteration != f.iter) {
@@ -753,7 +764,7 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, rcpt *chain.Receipt) error
 	// DBG update + transaction-dependency bookkeeping. Writes also teach
 	// the key-level index (paper §5 future work): which seed parameter the
 	// written primary key tracks.
-	params0 := f.effectiveParams(kind, seed)
+	params := f.effectiveParams(kind, seed)
 	var reads []chain.DBOp
 	for _, op := range rcpt.DBOps {
 		if op.Contract != victimName {
@@ -762,7 +773,7 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, rcpt *chain.Receipt) error
 		if op.Kind == chain.DBWrite {
 			f.dbg.AddWrite(op.Table, op.Action)
 			if op.Action == seed.Action {
-				f.dbg.LearnKeyParam(op.Table, op.Action, op.Key, params0)
+				f.dbg.LearnKeyParam(op.Table, op.Action, op.Key, params)
 			}
 		} else {
 			f.dbg.AddRead(op.Table, op.Action)
@@ -781,9 +792,8 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, rcpt *chain.Receipt) error
 	if f.cfg.DisableFeedback {
 		return nil
 	}
-	params := f.effectiveParams(kind, seed)
 	for i := range victimTraces {
-		if err := f.feedback(kind, seed, params, &victimTraces[i]); err != nil {
+		if err := f.feedback(seed, params, &victimTraces[i]); err != nil {
 			return err
 		}
 	}
@@ -791,30 +801,38 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, rcpt *chain.Receipt) error
 }
 
 // feedback replays one trace and turns unexplored flipped branches into
-// adaptive seeds.
-func (f *Fuzzer) feedback(kind payloadKind, seed Seed, params []symexec.Param, tr *trace.Trace) error {
-	res, err := symexec.Run(f.mod, tr, params, symexec.Options{
-		Globals:      map[uint32]uint64{0: uint64(victimName)},
-		OpaqueInputs: f.cfg.OpaqueInputs,
-	})
-	if err != nil {
-		// Traces that revert inside the dispatcher (e.g. the Fake EOS guard
-		// firing) never reach an action function: nothing to flip there.
-		if !errors.Is(err, symexec.ErrNoActionCall) {
-			f.replayErr++
+// adaptive seeds. A trace the job already replayed under the same parameter
+// layout is not replayed again when the cached outcome settles the result:
+// a replay error counts as it would, and flip targets that are all covered
+// or attempted would have built an empty solver pool. Otherwise it replays.
+func (f *Fuzzer) feedback(seed Seed, params []symexec.Param, tr *trace.Trace) error {
+	fp := tr.Fingerprint()
+	cached := f.replays.lookup(fp, tr, params)
+	if cached != nil && (cached.err != nil || !slices.ContainsFunc(cached.targets, f.openTarget)) {
+		if f.skipHook != nil {
+			f.skipHook(tr, params, cached)
 		}
+		f.countReplayErr(cached.err)
+		return nil
+	}
+	res, err := f.replay(tr, params)
+	var queries []symexec.FlipQuery
+	if err == nil {
+		queries = symexec.FlipQueries(res)
+	}
+	if cached == nil {
+		f.replays.insert(fp, tr, params, err, queries)
+	}
+	if err != nil {
+		f.countReplayErr(err)
 		return nil
 	}
 	// Collect the flip queries for unexplored, unattempted targets and
 	// solve them in parallel (§3.4.4: "we collect the target constraints
 	// together and solve them in parallel").
 	var pool []symbolic.Query
-	for _, q := range symexec.FlipQueries(res) {
-		key := trace.BranchKey{Func: q.Target.Func, PC: q.Target.PC, Dir: q.Target.Dir}
-		if _, covered := f.coverage[key]; covered {
-			continue
-		}
-		if f.attempted[q.Target] {
+	for _, q := range queries {
+		if !f.openTarget(q.Target) {
 			continue
 		}
 		f.attempted[q.Target] = true
@@ -854,4 +872,31 @@ func (f *Fuzzer) feedback(kind payloadKind, seed Seed, params []symexec.Param, t
 		return fmt.Errorf("fuzz: iteration %d: solver pool: %w", f.iter, poolErr)
 	}
 	return nil
+}
+
+// replay runs Symback over one trace of the target.
+func (f *Fuzzer) replay(tr *trace.Trace, params []symexec.Param) (*symexec.Result, error) {
+	return symexec.Run(f.mod, tr, params, symexec.Options{
+		Globals:      map[uint32]uint64{0: uint64(victimName)},
+		OpaqueInputs: f.cfg.OpaqueInputs,
+	})
+}
+
+// countReplayErr counts a failed replay. Traces that revert inside the
+// dispatcher (e.g. the Fake EOS guard firing) never reach an action
+// function: there is nothing to flip there, and no error to count.
+func (f *Fuzzer) countReplayErr(err error) {
+	if err != nil && !errors.Is(err, symexec.ErrNoActionCall) {
+		f.replayErr++
+	}
+}
+
+// openTarget reports whether a flip target is still worth a solver query:
+// neither covered nor already attempted. The solver pool and the replay
+// cache's skip decision both use it, so a skip stays exact.
+func (f *Fuzzer) openTarget(t symexec.BranchTarget) bool {
+	if _, covered := f.coverage[trace.BranchKey{Func: t.Func, PC: t.PC, Dir: t.Dir}]; covered {
+		return false
+	}
+	return !f.attempted[t]
 }

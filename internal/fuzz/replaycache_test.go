@@ -1,0 +1,316 @@
+package fuzz
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/contractgen"
+	"repro/internal/eos"
+	"repro/internal/symexec"
+	"repro/internal/trace"
+	"repro/internal/wasm"
+)
+
+// cacheCase is one campaign the replay-cache tests run.
+type cacheCase struct {
+	name string
+	c    *contractgen.Contract
+	cfg  Config
+}
+
+// replayCacheCorpus is a wild sample under the default config (a few of
+// them adaptive), plus §4.3 verification samples of the five Table 6
+// classes fuzzed as forks under distinct seeds with the fast VM and the
+// incremental solver on.
+func replayCacheCorpus(t *testing.T) []cacheCase {
+	t.Helper()
+	wild, err := contractgen.GenerateWild(contractgen.DefaultWildOptions(14), rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatalf("GenerateWild: %v", err)
+	}
+	var cases []cacheCase
+	for i, w := range wild {
+		cfg := DefaultConfig()
+		cfg.KeepTraces = true
+		cfg.Adaptive = i%5 == 4
+		cases = append(cases, cacheCase{name: fmt.Sprintf("wild-%d", i), c: w.Contract, cfg: cfg})
+	}
+	checks := [][]contractgen.VerCheck{
+		{{Field: "amount", Value: 1_234_000}},
+		{{Field: "symbol", Value: uint64(eos.EOSSymbol)}, {Field: "memo0", Value: 'k'}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i, class := range contractgen.Classes[:5] {
+		for _, vul := range []bool{true, false} {
+			spec := contractgen.RandomSpec(class, vul, rng)
+			spec.Verification = checks[i%len(checks)]
+			c, err := contractgen.Generate(spec)
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			for fork := int64(1); fork <= 3; fork++ {
+				cfg := DefaultConfig()
+				cfg.KeepTraces = true
+				cfg.FastVM = true
+				cfg.Incremental = true
+				cfg.Seed = fork
+				cases = append(cases, cacheCase{name: fmt.Sprintf("%s-vul=%v-fork%d", class, vul, fork), c: c, cfg: cfg})
+			}
+		}
+	}
+	return cases
+}
+
+// runCase runs one campaign after prepare has set up the fuzzer's test
+// hooks, and returns the fuzzer with its result.
+func runCase(t *testing.T, tc cacheCase, prepare func(*Fuzzer)) (*Fuzzer, *Result) {
+	t.Helper()
+	f, err := New(tc.c.Module, tc.c.ABI, tc.cfg)
+	if err != nil {
+		t.Fatalf("%s: New: %v", tc.name, err)
+	}
+	if prepare != nil {
+		prepare(f)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatalf("%s: Run: %v", tc.name, err)
+	}
+	return f, res
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+func (c *replayCache) entries() int {
+	n := 0
+	for _, b := range c.buckets {
+		n += len(b)
+	}
+	return n
+}
+
+// TestReplayCacheSkipsAreExact replays anyway on every skip: the fresh
+// replay must give the cached error and flip targets, and none of the
+// targets may be open, so the real path would have built an empty solver
+// pool. Each campaign must also equal a run with the cache off (limit 0,
+// every replay runs), traces included.
+func TestReplayCacheSkipsAreExact(t *testing.T) {
+	skips := 0
+	for _, tc := range replayCacheCorpus(t) {
+		_, got := runCase(t, tc, func(f *Fuzzer) {
+			f.skipHook = func(tr *trace.Trace, params []symexec.Param, cached *replayEntry) {
+				skips++
+				res, err := f.replay(tr, params)
+				if errText(err) != errText(cached.err) {
+					t.Errorf("%s: replay error %q, cached %q", tc.name, errText(err), errText(cached.err))
+				}
+				var targets []symexec.BranchTarget
+				if err == nil {
+					for _, q := range symexec.FlipQueries(res) {
+						targets = append(targets, q.Target)
+					}
+				}
+				if !slices.Equal(targets, cached.targets) {
+					t.Errorf("%s: replay targets %v, cached %v", tc.name, targets, cached.targets)
+				}
+				if slices.ContainsFunc(targets, f.openTarget) {
+					t.Errorf("%s: skipped a replay whose solver pool is not empty", tc.name)
+				}
+			}
+		})
+		_, want := runCase(t, tc, func(f *Fuzzer) { f.replays.limit = 0 })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result with the replay cache differs from the uncached run", tc.name)
+		}
+	}
+	if skips == 0 {
+		t.Fatal("no replay was skipped")
+	}
+}
+
+// recordReveal executes one reveal transaction on a fresh fuzzer and returns
+// the fuzzer, the seed, its effective parameters and the victim's trace.
+func recordReveal(t *testing.T) (*Fuzzer, Seed, []symexec.Param, *trace.Trace) {
+	t.Helper()
+	c, err := contractgen.Generate(contractgen.Spec{
+		Class: contractgen.ClassRollback, Vulnerable: true,
+		Branches: []contractgen.BranchCheck{{Field: "amount", Value: 424242}},
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	f, err := New(c.Module, c.ABI, DefaultConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	seed := Seed{Action: contractgen.ActionReveal, Params: []symexec.Param{
+		{Type: "name", U64: uint64(attackerName)},
+		{Type: "name", U64: uint64(victimName)},
+		{Type: "asset", Amount: 100000, Symbol: uint64(eos.EOSSymbol)},
+		{Type: "string", Str: []byte("memo")},
+	}}
+	rcpt, err := f.execute(payloadDirectAction, seed)
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	var tr *trace.Trace
+	for i := range rcpt.Traces {
+		if rcpt.Traces[i].Contract == victimName && rcpt.Traces[i].Action == seed.Action {
+			tr = &rcpt.Traces[i]
+		}
+	}
+	if tr == nil {
+		t.Fatal("no victim trace")
+	}
+	return f, seed, f.effectiveParams(payloadDirectAction, seed), tr
+}
+
+// TestReplayCacheNearMissesReplay: a trace differing from a cached one in a
+// single event operand, or a seed differing only in memo length, is a
+// different replay input. Each must miss, even when forced into the cached
+// trace's bucket, and replay.
+func TestReplayCacheNearMissesReplay(t *testing.T) {
+	f, seed, params, tr := recordReveal(t)
+	f.skipHook = func(*trace.Trace, []symexec.Param, *replayEntry) { t.Error("near miss skipped its replay") }
+	fp := tr.Fingerprint()
+
+	// replays feeds one trace back and reports whether it added an entry:
+	// entries are added only after a replay ran.
+	replays := func(tr *trace.Trace, params []symexec.Param) bool {
+		t.Helper()
+		n := f.replays.entries()
+		if err := f.feedback(seed, params, tr); err != nil {
+			t.Fatalf("feedback: %v", err)
+		}
+		return f.replays.entries() == n+1
+	}
+	if !replays(tr, params) {
+		t.Fatal("first sighting was not replayed and cached")
+	}
+	if f.replays.lookup(fp, tr, params) == nil {
+		t.Fatal("cached trace does not hit")
+	}
+
+	mem := slices.IndexFunc(tr.Events, func(ev trace.Event) bool { return ev.Kind == trace.HookMem })
+	if mem < 0 {
+		t.Fatal("trace has no memory event")
+	}
+	operand := *tr
+	operand.Events = slices.Clone(tr.Events)
+	operand.Events[mem].Operand++
+	if f.replays.lookup(fp, &operand, params) != nil {
+		t.Error("a trace differing in one Operand hit the cached trace's entry")
+	}
+	if !replays(&operand, params) {
+		t.Error("a trace differing in one Operand was not replayed")
+	}
+
+	longer := slices.Clone(params)
+	longer[3].Str = []byte("memo!")
+	if f.replays.lookup(fp, tr, longer) != nil {
+		t.Error("a longer memo hit the cached layout")
+	}
+	if !replays(tr, longer) {
+		t.Error("a seed differing only in memo length was not replayed")
+	}
+}
+
+// TestReplayCacheCountsCachedErrors: a repeated trace whose replay failed
+// is skipped and still counts toward ReplayErrors, and a repeated trace
+// without an action dispatch is skipped and still does not count. The
+// benchmark populations never fail a replay, so the traces are cut by hand.
+func TestReplayCacheCountsCachedErrors(t *testing.T) {
+	f, seed, params, tr := recordReveal(t)
+	skips := 0
+	f.skipHook = func(*trace.Trace, []symexec.Param, *replayEntry) { skips++ }
+	dispatch := slices.IndexFunc(tr.Events, func(ev trace.Event) bool {
+		return ev.Kind == trace.HookCall && ev.Op == wasm.OpCallIndirect
+	})
+	if dispatch < 0 {
+		t.Fatal("trace has no action dispatch")
+	}
+	// Up to and including the dispatch: the action's function_begin is
+	// missing, so the replay fails.
+	noBegin := trace.Trace{Contract: tr.Contract, Action: tr.Action, Events: slices.Clone(tr.Events[:dispatch+1])}
+	// Before the dispatch: symexec.ErrNoActionCall, which is not an error.
+	noCall := trace.Trace{Contract: tr.Contract, Action: tr.Action, Events: slices.Clone(tr.Events[:dispatch])}
+	for round := 1; round <= 2; round++ {
+		for _, cut := range []*trace.Trace{&noBegin, &noCall} {
+			if err := f.feedback(seed, params, cut); err != nil {
+				t.Fatalf("feedback: %v", err)
+			}
+		}
+		if f.replayErr != round {
+			t.Errorf("round %d: %d replay errors, want %d", round, f.replayErr, round)
+		}
+	}
+	if skips != 2 {
+		t.Errorf("%d skips, want the 2 repeats", skips)
+	}
+}
+
+// TestFinishDropsReplayCache: the cache lives for one job.
+func TestFinishDropsReplayCache(t *testing.T) {
+	tc := replayCacheCorpus(t)[0]
+	f, err := New(tc.c.Module, tc.c.ABI, tc.cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := f.RunPhase(context.Background()); err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if f.replays.entries() == 0 || f.replays.retained == 0 {
+		t.Fatal("the campaign cached no replay")
+	}
+	if _, err := f.Finish(context.Background()); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if f.replays.buckets != nil || f.replays.retained != 0 || f.replays.limit != 0 {
+		t.Errorf("Finish kept the replay cache: %d entries, %d events retained, limit %d",
+			f.replays.entries(), f.replays.retained, f.replays.limit)
+	}
+}
+
+// TestFullReplayCacheStopsInserting: a cache that reaches its limit keeps
+// what it has and stops inserting, and the campaign result does not move.
+func TestFullReplayCacheStopsInserting(t *testing.T) {
+	tc := replayCacheCorpus(t)[0]
+	run := func(limit int) (*Result, replayCache) {
+		f, err := New(tc.c.Module, tc.c.ABI, tc.cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		f.replays.limit = limit
+		if _, err := f.RunPhase(context.Background()); err != nil {
+			t.Fatalf("RunPhase: %v", err)
+		}
+		cache := f.replays
+		res, err := f.Finish(context.Background())
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+		return res, cache
+	}
+	want, full := run(maxReplayCacheEvents)
+	limit := full.retained / 3
+	got, bounded := run(limit)
+	if bounded.retained > limit {
+		t.Errorf("cache retains %d events, limit %d", bounded.retained, limit)
+	}
+	if bounded.entries() == 0 || bounded.entries() >= full.entries() {
+		t.Errorf("bounded cache has %d entries, unbounded %d", bounded.entries(), full.entries())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a full replay cache changed the campaign result")
+	}
+}

@@ -1,6 +1,7 @@
 package symexec_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/chain"
@@ -338,5 +339,68 @@ func TestReplayObfuscatedContract(t *testing.T) {
 	}
 	if !solved {
 		t.Fatal("solver did not penetrate the popcount obfuscation")
+	}
+}
+
+// TestReplayIsPureInParamValues pins what the fuzzer's replay cache rests
+// on: a replay depends on the parameters only through their layout (types
+// and string lengths). One recorded trace replayed under two parameter sets
+// sharing a layout but differing in every value must give the same error,
+// the same flip targets and the same constraints.
+func TestReplayIsPureInParamValues(t *testing.T) {
+	lucky := eos.MustName("luckyone")
+	h := newHarness(t, contractgen.Spec{
+		Class:      contractgen.ClassFakeEOS,
+		Vulnerable: true,
+		Branches:   []contractgen.BranchCheck{{Field: "from", Value: uint64(lucky)}},
+		Verification: []contractgen.VerCheck{
+			{Field: "memo0", Value: 'q'},
+			{Field: "symbol", Value: uint64(eos.EOSSymbol)},
+			{Field: "amount", Value: 7770000},
+		},
+		Seed: 4,
+	})
+	recorded := seedParams(attacker, victim, 7770000, "qz")
+	tr, _ := h.invoke(eos.ActionTransfer, recorded)
+	other := seedParams(eos.MustName("bob"), lucky, 5, "ab")
+	other[2].Symbol = 12345
+	if len(other) != len(recorded) || len(other[3].Str) != len(recorded[3].Str) {
+		t.Fatal("parameter sets must share a layout")
+	}
+
+	type outcome struct {
+		err         string
+		targets     []symexec.BranchTarget
+		constraints []string
+		canon       []symbolic.Canon
+	}
+	replay := func(params []symexec.Param) outcome {
+		res, err := symexec.Run(h.c.Module, tr, params, symexec.Options{
+			Globals: map[uint32]uint64{0: uint64(victim)},
+		})
+		if err != nil {
+			return outcome{err: err.Error()}
+		}
+		var o outcome
+		for _, q := range symexec.FlipQueries(res) {
+			o.targets = append(o.targets, q.Target)
+			for _, c := range q.Constraints {
+				o.constraints = append(o.constraints, c.String())
+			}
+			// The canonical key covers the whole expression DAG; String
+			// elides below depth 12.
+			o.canon = append(o.canon, symbolic.Canonicalize(q.Constraints, 0))
+		}
+		return o
+	}
+	a, b := replay(recorded), replay(other)
+	if a.err != "" {
+		t.Fatalf("replay: %s", a.err)
+	}
+	if len(a.targets) < 4 {
+		t.Fatalf("want flip targets for the memo, symbol, amount and from checks, got %v", a.targets)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("replay depends on parameter values:\n%+v\n%+v", a, b)
 	}
 }

@@ -113,19 +113,8 @@ func (c *Collector) Finalize(contract, action eos.Name) {
 	c.current = nil
 }
 
-// Discard drops the in-flight trace (used when an action reverts before
-// producing a complete trace is NOT desired — WASAI analyzes reverted
-// executions too, so Discard is only for collector reuse).
-func (c *Collector) Discard() { c.current = nil }
-
 // Traces returns the finished traces collected so far.
 func (c *Collector) Traces() []Trace { return c.finished }
-
-// Reset clears all state.
-func (c *Collector) Reset() {
-	c.current = nil
-	c.finished = nil
-}
 
 // TakeTraces returns the finished traces and clears them.
 func (c *Collector) TakeTraces() []Trace {
@@ -225,6 +214,25 @@ func (t *Trace) CalledFuncs() []uint32 {
 		}
 	}
 	return ids
+}
+
+// Fingerprint returns a 64-bit FNV-1a-style mix of the event sequence:
+// every event's kind, opcode, site and operand, in order (not the contract
+// or action). It picks a bucket, it does not identify a trace: a consumer
+// that must be exact compares the events of equal fingerprints too. Not
+// cryptographic, and computed on demand, so Trace carries no extra field.
+func (t *Trace) Fingerprint() uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, ev := range t.Events {
+		h = (h ^ (uint64(ev.Kind)<<40 | uint64(ev.Op)<<32 | uint64(ev.Func))) * prime64
+		h = (h ^ uint64(ev.PC)) * prime64
+		h = (h ^ ev.Operand) * prime64
+	}
+	return h
 }
 
 // Branches returns the distinct (site, direction) pairs exercised — the

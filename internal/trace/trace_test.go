@@ -130,3 +130,32 @@ func TestHookKindStrings(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestFingerprint: equal event sequences share a fingerprint whatever the
+// contract and action; a change to any one field of one event moves it.
+func TestFingerprint(t *testing.T) {
+	tr := sampleTraces()[0]
+	same := Trace{Contract: eos.MustName("other"), Action: eos.MustName("reveal"), Events: append([]Event(nil), tr.Events...)}
+	if tr.Fingerprint() != same.Fingerprint() {
+		t.Error("equal events, different fingerprints")
+	}
+	edits := map[string]func(*Event){
+		"Kind":    func(ev *Event) { ev.Kind = HookCmp },
+		"Func":    func(ev *Event) { ev.Func++ },
+		"PC":      func(ev *Event) { ev.PC++ },
+		"Op":      func(ev *Event) { ev.Op = wasm.OpI64Load },
+		"Operand": func(ev *Event) { ev.Operand ^= 1 << 63 },
+	}
+	for field, edit := range edits {
+		for i := range tr.Events {
+			changed := Trace{Events: append([]Event(nil), tr.Events...)}
+			edit(&changed.Events[i])
+			if changed.Events[i] != tr.Events[i] && changed.Fingerprint() == tr.Fingerprint() {
+				t.Errorf("changing %s of event %d kept the fingerprint", field, i)
+			}
+		}
+	}
+	if (&Trace{Events: tr.Events[:len(tr.Events)-1]}).Fingerprint() == tr.Fingerprint() {
+		t.Error("dropping the last event kept the fingerprint")
+	}
+}
