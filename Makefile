@@ -9,12 +9,16 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Repo-specific lint gate: go vet plus wasai-lint (nondeterminism sources in
+# Repo-specific lint gate: go vet, wasai-lint (nondeterminism sources in
 # the deterministic core packages, scanner/static oracle parity, error
-# classification, ad-hoc caches outside internal/memo).
+# classification, ad-hoc caches outside internal/memo), and gofmt over the
+# tracked Go files (git ls-files, so the gitignored .bench_build/ is not
+# walked), failing when it lists any file.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/wasai-lint
+	@files=$$(git ls-files '*.go') && out=$$(gofmt -l $$files) && \
+		if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -49,6 +49,25 @@ func (e *AssertError) Error() string { return fmt.Sprintf("eosio_assert: %s", e.
 // Is makes AssertError match ErrAssert.
 func (e *AssertError) Is(target error) bool { return target == ErrAssert }
 
+// ActionError is the error of a reverted transaction: the index, name and
+// account of the action that failed, and why. Error formats the message
+// only when it is read, because most reverts are fuzzing signal that no
+// one prints.
+type ActionError struct {
+	Index   int
+	Name    eos.Name
+	Account eos.Name
+	Err     error
+}
+
+// Error implements error.
+func (e *ActionError) Error() string {
+	return fmt.Sprintf("action %d (%s@%s): %v", e.Index, e.Name, e.Account, e.Err)
+}
+
+// Unwrap returns the cause.
+func (e *ActionError) Unwrap() error { return e.Err }
+
 // DBOpKind distinguishes reads from writes for the DBG (paper §3.3.2).
 type DBOpKind byte
 
@@ -318,18 +337,22 @@ func (bc *Blockchain) PushTransaction(tx Transaction) *Receipt {
 }
 
 func (bc *Blockchain) runTransaction(tx Transaction) *Receipt {
-	snapshot := bc.db.Snapshot()
+	bc.db.begin()
 	deferredMark := len(bc.deferred)
 	rcpt := &Receipt{}
 	txctx := &txContext{chain: bc, receipt: rcpt}
 	for i := range tx.Actions {
 		if err := bc.applyActionTree(txctx, tx.Actions[i], 0); err != nil {
-			rcpt.Err = fmt.Errorf("action %d (%s@%s): %w", i, tx.Actions[i].Name, tx.Actions[i].Account, err)
-			bc.db.Restore(snapshot)
+			rcpt.Err = &ActionError{Index: i, Name: tx.Actions[i].Name, Account: tx.Actions[i].Account, Err: err}
 			// Discard only the deferred transactions this tx scheduled.
 			bc.deferred = bc.deferred[:deferredMark]
 			break
 		}
+	}
+	if rcpt.Err != nil {
+		bc.db.rollback()
+	} else {
+		bc.db.commit()
 	}
 	if bc.Collector != nil {
 		rcpt.Traces = append(rcpt.Traces, bc.Collector.TakeTraces()...)

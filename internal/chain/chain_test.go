@@ -269,22 +269,6 @@ func TestDatabaseIterators(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	db := NewDatabase()
-	code, scope, tab := eos.MustName("c"), eos.MustName("s"), eos.MustName("t")
-	db.Store(code, scope, tab, 1, []byte("a"))
-	snap := db.Snapshot()
-	db.Store(code, scope, tab, 2, []byte("b"))
-	db.Remove(code, scope, tab, 1)
-	db.Restore(snap)
-	if _, ok := db.Get(code, scope, tab, 1); !ok {
-		t.Error("row 1 missing after restore")
-	}
-	if _, ok := db.Get(code, scope, tab, 2); ok {
-		t.Error("row 2 present after restore")
-	}
-}
-
 func TestPackActionRoundTrip(t *testing.T) {
 	act := Action{
 		Account:       eos.MustName("eosio.token"),

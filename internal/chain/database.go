@@ -45,14 +45,15 @@ func (t *table) find(id uint64) (int, bool) {
 	return i, i < len(t.keys) && t.keys[i] == id
 }
 
-func (t *table) store(id uint64, data []byte) {
+// store sets row id to row, which the table owns from then on.
+func (t *table) store(id uint64, row []byte) {
 	if _, ok := t.rows[id]; !ok {
 		i, _ := t.find(id)
 		t.keys = append(t.keys, 0)
 		copy(t.keys[i+1:], t.keys[i:])
 		t.keys[i] = id
 	}
-	t.rows[id] = append([]byte(nil), data...)
+	t.rows[id] = row
 }
 
 func (t *table) remove(id uint64) {
@@ -64,51 +65,108 @@ func (t *table) remove(id uint64) {
 	t.keys = append(t.keys[:i], t.keys[i+1:]...)
 }
 
-func (t *table) clone() *table {
-	c := &table{keys: append([]uint64(nil), t.keys...), rows: make(map[uint64][]byte, len(t.rows))}
-	for k, v := range t.rows {
-		c.rows[k] = append([]byte(nil), v...)
-	}
-	return c
-}
-
 // Database is the chain's persistent key-value store.
 type Database struct {
 	tables map[tableKey]*table
+
+	// undo is the journal of the open session: one entry per write, in
+	// write order. Only writes made while journaling is set are recorded.
+	undo       []undoEntry
+	journaling bool
+}
+
+// undoEntry records what one write replaced: a table the write created,
+// or the prior row under (key, id), absent when had is false.
+type undoEntry struct {
+	key     tableKey
+	id      uint64
+	prior   []byte
+	had     bool
+	created bool
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database { return &Database{tables: map[tableKey]*table{}} }
 
-// Snapshot deep-copies the database for transaction rollback.
-func (db *Database) Snapshot() *Database {
-	s := &Database{tables: make(map[tableKey]*table, len(db.tables))}
-	for k, t := range db.tables {
-		s.tables[k] = t.clone()
-	}
-	return s
+// begin opens the session a transaction's writes are journaled in.
+// One session per transaction suffices: inline actions and notifications
+// revert with their transaction, and deferred transactions run only after
+// it commits, each in a session of its own.
+func (db *Database) begin() {
+	db.journaling = true
+	db.undo = db.undo[:0]
 }
 
-// Restore replaces the database contents with a snapshot.
-func (db *Database) Restore(s *Database) { db.tables = s.tables }
+// commit closes the session, keeping its writes.
+func (db *Database) commit() {
+	clear(db.undo) // pin no replaced rows
+	db.undo = db.undo[:0]
+	db.journaling = false
+}
 
-func (db *Database) tableFor(k tableKey, create bool) *table {
-	t, ok := db.tables[k]
-	if !ok && create {
+// rollback closes the session, undoing its writes in reverse order. A
+// table the session created is deleted, not left empty: db_find_i64 and
+// friends tell an absent table (-1) from an empty one (an end handle).
+func (db *Database) rollback() {
+	for i := len(db.undo) - 1; i >= 0; i-- {
+		e := &db.undo[i]
+		switch {
+		case e.created:
+			delete(db.tables, e.key)
+		case e.had:
+			db.tables[e.key].store(e.id, e.prior)
+		default:
+			db.tables[e.key].remove(e.id)
+		}
+	}
+	db.commit() // keep the restored state
+}
+
+func (db *Database) record(e undoEntry) {
+	if db.journaling {
+		db.undo = append(db.undo, e)
+	}
+}
+
+// put stores a copy of data as row id of table k, creating the table if
+// needed. Every database write goes through put or erase, so the journal
+// sees it.
+func (db *Database) put(k tableKey, id uint64, data []byte) {
+	t := db.tables[k]
+	if t == nil {
 		t = newTable()
 		db.tables[k] = t
+		db.record(undoEntry{key: k, created: true})
 	}
-	return t
+	prior, had := t.rows[id]
+	db.record(undoEntry{key: k, id: id, prior: prior, had: had})
+	t.store(id, append([]byte(nil), data...))
+}
+
+// erase deletes row id of table k, if present.
+func (db *Database) erase(k tableKey, id uint64) {
+	t := db.tables[k]
+	if t == nil {
+		return
+	}
+	prior, had := t.rows[id]
+	if !had {
+		return
+	}
+	db.record(undoEntry{key: k, id: id, prior: prior, had: true})
+	t.remove(id)
 }
 
 // Store inserts or replaces a row.
 func (db *Database) Store(code, scope, tab eos.Name, id uint64, data []byte) {
-	db.tableFor(tableKey{code, scope, tab}, true).store(id, data)
+	db.put(tableKey{code, scope, tab}, id, data)
 }
 
-// Get returns the row with primary key id.
+// Get returns the row with primary key id. The slice is the stored row
+// itself: callers must not write to it. The undo journal keeps replaced
+// rows by reference and relies on this.
 func (db *Database) Get(code, scope, tab eos.Name, id uint64) ([]byte, bool) {
-	t := db.tableFor(tableKey{code, scope, tab}, false)
+	t := db.tables[tableKey{code, scope, tab}]
 	if t == nil {
 		return nil, false
 	}
@@ -118,9 +176,7 @@ func (db *Database) Get(code, scope, tab eos.Name, id uint64) ([]byte, bool) {
 
 // Remove deletes the row with primary key id.
 func (db *Database) Remove(code, scope, tab eos.Name, id uint64) {
-	if t := db.tableFor(tableKey{code, scope, tab}, false); t != nil {
-		t.remove(id)
-	}
+	db.erase(tableKey{code, scope, tab}, id)
 }
 
 // DumpContract renders every row stored under code's tables in a
@@ -154,7 +210,7 @@ func (db *Database) DumpContract(code eos.Name) string {
 
 // Rows returns the number of rows in a table.
 func (db *Database) Rows(code, scope, tab eos.Name) int {
-	if t := db.tableFor(tableKey{code, scope, tab}, false); t != nil {
+	if t := db.tables[tableKey{code, scope, tab}]; t != nil {
 		return len(t.keys)
 	}
 	return 0
@@ -219,7 +275,7 @@ func (ic *IterCache) endTable(handle int32) (tableKey, bool) {
 // Find implements db_find_i64.
 func (ic *IterCache) Find(code, scope, tab eos.Name, id uint64) int32 {
 	k := tableKey{code, scope, tab}
-	t := ic.db.tableFor(k, false)
+	t := ic.db.tables[k]
 	if t == nil {
 		return iterNotFound
 	}
@@ -232,7 +288,7 @@ func (ic *IterCache) Find(code, scope, tab eos.Name, id uint64) int32 {
 // End implements db_end_i64.
 func (ic *IterCache) End(code, scope, tab eos.Name) int32 {
 	k := tableKey{code, scope, tab}
-	if ic.db.tableFor(k, false) == nil {
+	if ic.db.tables[k] == nil {
 		return iterNotFound
 	}
 	return ic.endHandle(k)
@@ -241,7 +297,7 @@ func (ic *IterCache) End(code, scope, tab eos.Name) int32 {
 // LowerBound implements db_lowerbound_i64.
 func (ic *IterCache) LowerBound(code, scope, tab eos.Name, id uint64) int32 {
 	k := tableKey{code, scope, tab}
-	t := ic.db.tableFor(k, false)
+	t := ic.db.tables[k]
 	if t == nil {
 		return iterNotFound
 	}
@@ -255,17 +311,18 @@ func (ic *IterCache) LowerBound(code, scope, tab eos.Name, id uint64) int32 {
 // Store implements db_store_i64, returning an iterator to the new row.
 func (ic *IterCache) Store(scope eos.Name, tab eos.Name, code eos.Name, id uint64, data []byte) int32 {
 	k := tableKey{code, scope, tab}
-	ic.db.tableFor(k, true).store(id, data)
+	ic.db.put(k, id, data)
 	return ic.add(k, id)
 }
 
 // Get implements db_get_i64: returns the row bytes for a live iterator.
+// As with Database.Get, callers must not write to the slice.
 func (ic *IterCache) Get(handle int32) ([]byte, error) {
 	r, ok := ic.ref(handle)
 	if !ok {
 		return nil, failure.Newf(failure.Trap, "chain: invalid db iterator %d", handle)
 	}
-	t := ic.db.tableFor(r.key, false)
+	t := ic.db.tables[r.key]
 	if t == nil {
 		return nil, failure.Newf(failure.Trap, "chain: iterator %d references dropped table %s", handle, r.key)
 	}
@@ -282,7 +339,7 @@ func (ic *IterCache) Update(handle int32, data []byte) error {
 	if !ok {
 		return failure.Newf(failure.Trap, "chain: invalid db iterator %d", handle)
 	}
-	ic.db.tableFor(r.key, true).store(r.id, data)
+	ic.db.put(r.key, r.id, data)
 	return nil
 }
 
@@ -292,9 +349,7 @@ func (ic *IterCache) Remove(handle int32) error {
 	if !ok {
 		return failure.Newf(failure.Trap, "chain: invalid db iterator %d", handle)
 	}
-	if t := ic.db.tableFor(r.key, false); t != nil {
-		t.remove(r.id)
-	}
+	ic.db.erase(r.key, r.id)
 	return nil
 }
 
@@ -305,7 +360,7 @@ func (ic *IterCache) Next(handle int32) (int32, uint64) {
 	if !ok {
 		return iterNotFound, 0
 	}
-	t := ic.db.tableFor(r.key, false)
+	t := ic.db.tables[r.key]
 	if t == nil {
 		return iterNotFound, 0
 	}
@@ -328,7 +383,7 @@ func (ic *IterCache) Previous(handle int32) (int32, uint64) {
 		if !ok {
 			return iterNotFound, 0
 		}
-		t := ic.db.tableFor(k, false)
+		t := ic.db.tables[k]
 		if t == nil || len(t.keys) == 0 {
 			return iterNotFound, 0
 		}
@@ -339,7 +394,7 @@ func (ic *IterCache) Previous(handle int32) (int32, uint64) {
 	if !ok {
 		return iterNotFound, 0
 	}
-	t := ic.db.tableFor(r.key, false)
+	t := ic.db.tables[r.key]
 	if t == nil {
 		return iterNotFound, 0
 	}

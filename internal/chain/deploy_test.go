@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -173,6 +174,52 @@ func TestSelfInlineSeesFreshState(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// readDataModule is a contract whose apply() copies its whole action
+// payload to address 1024 with read_action_data, and stores nothing.
+func readDataModule(t *testing.T) *wasm.Module {
+	t.Helper()
+	i32, i64 := wasm.I32, wasm.I64
+	m := &wasm.Module{}
+	m.Imports = []wasm.Import{
+		{Module: "env", Name: APIReadActionData, Kind: wasm.ExternalFunc, TypeIndex: m.AddType(wasm.FuncType{Params: []wasm.ValType{i32, i32}, Results: []wasm.ValType{i32}})},
+		{Module: "env", Name: APIActionDataSize, Kind: wasm.ExternalFunc, TypeIndex: m.AddType(wasm.FuncType{Results: []wasm.ValType{i32}})},
+	}
+	m.Funcs = []uint32{m.AddType(wasm.FuncType{Params: []wasm.ValType{i64, i64, i64}})}
+	m.Code = []wasm.Code{{Body: []wasm.Instr{wasm.I32Const(1024), wasm.Call(1), wasm.Call(0), wasm.Drop(), wasm.End()}}}
+	m.Exports = []wasm.Export{{Name: "apply", Kind: wasm.ExternalFunc, Index: 2}}
+	m.Memories = []wasm.MemType{{Limits: wasm.Limits{Min: 1}}}
+	if err := wasm.Validate(m); err != nil {
+		t.Fatalf("read-data module invalid: %v", err)
+	}
+	return m
+}
+
+// TestResetRestoresHostWrites: two applies on one account, a long action
+// payload and then a short one. read_action_data writes memory from the
+// host side, so Reset must restore those bytes too: after the second
+// apply, memory must equal that of a fresh deployment that ran only the
+// short payload, with no tail of the long one left behind.
+func TestResetRestoresHostWrites(t *testing.T) {
+	ctr := eos.MustName("reader")
+	memoryAfter := func(payloads ...[]byte) []byte {
+		bc := New()
+		if err := bc.DeployModule(ctr, mustCompile(t, readDataModule(t)), nil, nil); err != nil {
+			t.Fatalf("deploy: %v", err)
+		}
+		for _, p := range payloads {
+			rcpt := bc.PushTransaction(Transaction{Actions: []Action{{Account: ctr, Name: eos.MustName("read"), Data: p}}})
+			if rcpt.Err != nil {
+				t.Fatalf("apply: %v", rcpt.Err)
+			}
+		}
+		return bc.Account(ctr).inst.Memory()
+	}
+	long, short := bytes.Repeat([]byte("long payload "), 8), []byte("short")
+	if !bytes.Equal(memoryAfter(long, short), memoryAfter(short)) {
+		t.Fatal("memory after a long then a short payload differs from a fresh apply of the short one")
 	}
 }
 

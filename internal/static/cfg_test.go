@@ -76,13 +76,13 @@ func TestBuildCFGCorpus(t *testing.T) {
 // TestBuildCFGIfElse pins the exact block structure of an if/else body.
 func TestBuildCFGIfElse(t *testing.T) {
 	body := []wasm.Instr{
-		{Op: wasm.OpI32Const, Imm: 1},            // 0
-		{Op: wasm.OpIf, A: wasm.BlockTypeEmpty},  // 1
-		{Op: wasm.OpNop},                         // 2: then arm
-		{Op: wasm.OpElse},                        // 3
-		{Op: wasm.OpNop},                         // 4: else arm
-		{Op: wasm.OpEnd},                         // 5: end of if
-		{Op: wasm.OpEnd},                         // 6: end of function
+		{Op: wasm.OpI32Const, Imm: 1},           // 0
+		{Op: wasm.OpIf, A: wasm.BlockTypeEmpty}, // 1
+		{Op: wasm.OpNop},                        // 2: then arm
+		{Op: wasm.OpElse},                       // 3
+		{Op: wasm.OpNop},                        // 4: else arm
+		{Op: wasm.OpEnd},                        // 5: end of if
+		{Op: wasm.OpEnd},                        // 6: end of function
 	}
 	g, err := static.BuildCFG(body)
 	if err != nil {
@@ -93,9 +93,9 @@ func TestBuildCFGIfElse(t *testing.T) {
 		start, end int
 		succs      []int
 	}{
-		{0, 2, []int{1, 2}}, // const+if: then-arm, else-arm
-		{2, 4, []int{3}},    // then arm: jump over else to the if's end
-		{4, 5, []int{3}},    // else arm: fall through to the if's end
+		{0, 2, []int{1, 2}},              // const+if: then-arm, else-arm
+		{2, 4, []int{3}},                 // then arm: jump over else to the if's end
+		{4, 5, []int{3}},                 // else arm: fall through to the if's end
 		{5, 7, []int{static.ExitTarget}}, // if-end + function end
 	}
 	if len(g.Blocks) != len(want) {
@@ -153,14 +153,14 @@ func TestBuildCFGLoop(t *testing.T) {
 // depth 0 is the inner block's end, depth 1 the outer's.
 func TestBuildCFGBrTable(t *testing.T) {
 	body := []wasm.Instr{
-		{Op: wasm.OpBlock, A: wasm.BlockTypeEmpty},       // 0: outer
-		{Op: wasm.OpBlock, A: wasm.BlockTypeEmpty},       // 1: inner
-		{Op: wasm.OpI32Const, Imm: 0},                    // 2
-		{Op: wasm.OpBrTable, Table: []uint32{0}, A: 1},   // 3
-		{Op: wasm.OpEnd},                                 // 4: inner end
-		{Op: wasm.OpNop},                                 // 5
-		{Op: wasm.OpEnd},                                 // 6: outer end
-		{Op: wasm.OpEnd},                                 // 7: function end
+		{Op: wasm.OpBlock, A: wasm.BlockTypeEmpty},     // 0: outer
+		{Op: wasm.OpBlock, A: wasm.BlockTypeEmpty},     // 1: inner
+		{Op: wasm.OpI32Const, Imm: 0},                  // 2
+		{Op: wasm.OpBrTable, Table: []uint32{0}, A: 1}, // 3
+		{Op: wasm.OpEnd},                               // 4: inner end
+		{Op: wasm.OpNop},                               // 5
+		{Op: wasm.OpEnd},                               // 6: outer end
+		{Op: wasm.OpEnd},                               // 7: function end
 	}
 	g, err := static.BuildCFG(body)
 	if err != nil {

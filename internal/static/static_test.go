@@ -112,9 +112,9 @@ func TestReachabilityRespectsExports(t *testing.T) {
 	// func 2: dead local function calling send_inline.
 	mod := &wasm.Module{
 		Types: []wasm.FuncType{
-			{Params: []wasm.ValType{wasm.I32, wasm.I32}},               // send_inline
-			{Params: []wasm.ValType{wasm.I64, wasm.I64, wasm.I64}},     // apply
-			{},                                                          // dead helper
+			{Params: []wasm.ValType{wasm.I32, wasm.I32}},           // send_inline
+			{Params: []wasm.ValType{wasm.I64, wasm.I64, wasm.I64}}, // apply
+			{}, // dead helper
 		},
 		Imports: []wasm.Import{{
 			Module: "env", Name: chain.APISendInline, Kind: wasm.ExternalFunc, TypeIndex: 0,

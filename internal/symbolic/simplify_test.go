@@ -124,11 +124,11 @@ func TestSimplifyWidthExactBindings(t *testing.T) {
 // the original conjunction is Unsat, verdicts agree in both directions, and
 // a model of the simplified form satisfies every original conjunct.
 func FuzzSimplify(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 5, 9, 0})                                   // v0 == 5
-	f.Add([]byte{0, 0, 2, 5, 9, 0, 0, 0, 2, 3, 10, 0})                // v0 == 5, v0 < 3
-	f.Add([]byte{0, 0, 0, 1, 10, 0, 0, 1, 0, 0, 10, 0})               // v0 < v1, v1 < v0
-	f.Add([]byte{0, 0, 2, 1, 9, 0, 0, 0, 2, 2, 9, 0})                 // v0 == 1, v0 == 2
-	f.Add([]byte{0, 0, 0, 1, 3, 0, 2, 200, 10, 0, 0, 1, 2, 7, 9, 0})  // (v0+v1) < 200, v1 == 7
+	f.Add([]byte{0, 0, 2, 5, 9, 0})                                  // v0 == 5
+	f.Add([]byte{0, 0, 2, 5, 9, 0, 0, 0, 2, 3, 10, 0})               // v0 == 5, v0 < 3
+	f.Add([]byte{0, 0, 0, 1, 10, 0, 0, 1, 0, 0, 10, 0})              // v0 < v1, v1 < v0
+	f.Add([]byte{0, 0, 2, 1, 9, 0, 0, 0, 2, 2, 9, 0})                // v0 == 1, v0 == 2
+	f.Add([]byte{0, 0, 0, 1, 3, 0, 2, 200, 10, 0, 0, 1, 2, 7, 9, 0}) // (v0+v1) < 200, v1 == 7
 	f.Add([]byte{1, 3, 7, 0, 0, 3, 5, 0, 9, 0, 1, 2, 0, 2, 6, 0, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {

@@ -92,7 +92,7 @@ type Trace struct {
 // Collector accumulates traces during transaction execution and exports
 // them when an action finishes (the paper's finalize_trace point).
 type Collector struct {
-	current  []Event
+	current  []Event // the in-flight trace; its buffer is reused
 	finished []Trace
 }
 
@@ -104,13 +104,17 @@ func (c *Collector) Emit(ev Event) { c.current = append(c.current, ev) }
 
 // Finalize closes the in-flight trace, tagging it with the contract and
 // action, and makes it available via Traces. Mirrors
-// apply_context::finalize_trace in Nodeos.
+// apply_context::finalize_trace in Nodeos. The trace gets its own copy
+// of the events, at their exact size, and the collector never writes to
+// it again.
 func (c *Collector) Finalize(contract, action eos.Name) {
 	if len(c.current) == 0 {
 		return
 	}
-	c.finished = append(c.finished, Trace{Contract: contract, Action: action, Events: c.current})
-	c.current = nil
+	events := make([]Event, len(c.current))
+	copy(events, c.current)
+	c.finished = append(c.finished, Trace{Contract: contract, Action: action, Events: events})
+	c.current = c.current[:0]
 }
 
 // Traces returns the finished traces collected so far.

@@ -79,7 +79,9 @@ func TestCollectorFinalize(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("traces = %d, want 2", len(got))
 	}
-	if got[0].Contract != eos.MustName("a") || len(got[0].Events) != 2 {
+	// Each trace owns an exact-size copy of its events: the next trace,
+	// emitted into the collector's reused buffer, must not write into it.
+	if got[0].Contract != eos.MustName("a") || len(got[0].Events) != 2 || cap(got[0].Events) != 2 || got[0].Events[0].Func != 1 {
 		t.Errorf("first trace: %+v", got[0])
 	}
 	taken := c.TakeTraces()

@@ -228,6 +228,7 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: pc}
 			}
 			storeVal(wasm.Opcode(in.x), mem[addr:end], val)
+			vm.inst.markDirty(addr, end)
 
 		case irConstStore:
 			mem := vm.inst.mem
@@ -238,6 +239,7 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 				return nil, &Trap{Kind: TrapMemoryOutOfBounds, FuncIndex: f.index, PC: pc}
 			}
 			storeVal(wasm.Opcode(in.x), mem[addr:end], in.imm)
+			vm.inst.markDirty(addr, end)
 
 		case irNumeric:
 			w := st[:sp]

@@ -59,6 +59,11 @@ type Instance struct {
 	funcs    []funcDef
 	globals  []uint64
 	mem      []byte
+	// dirtyLo and dirtyHi bound the memory bytes written since Link or
+	// the last Reset; the range is empty (dirtyLo > dirtyHi) when none
+	// were. Every write path marks it: both engines' stores and
+	// WriteMemory.
+	dirtyLo, dirtyHi uint64
 
 	// MaxCallDepth bounds recursion (default 250, matching EOSVM).
 	MaxCallDepth int
@@ -199,6 +204,7 @@ func (c *CompiledModule) Link(r Resolver) (*Instance, error) {
 		funcs:        funcs,
 		globals:      append([]uint64(nil), c.globals...),
 		mem:          append([]byte(nil), c.mem...),
+		dirtyLo:      clean,
 		MaxCallDepth: 250,
 	}, nil
 }
@@ -212,12 +218,32 @@ func (c *CompiledModule) program() *irProgram {
 	return c.prog
 }
 
+// clean is dirtyLo when no byte has been written.
+const clean = math.MaxUint64
+
+// markDirty widens the dirty range to cover [lo, hi).
+func (inst *Instance) markDirty(lo, hi uint64) {
+	if lo < inst.dirtyLo {
+		inst.dirtyLo = lo
+	}
+	if hi > inst.dirtyHi {
+		inst.dirtyHi = hi
+	}
+}
+
 // Reset returns the instance to the state Link produced: memory length
 // and bytes from the compiled image, globals at their initial values.
 // Host bindings, the table and MaxCallDepth are kept. Reset reuses the
-// memory buffer (see Memory).
+// memory buffer (see Memory) and copies back only the dirty range: bytes
+// past the compiled length are cut off, and memory.grow zeroes the pages
+// it appends.
 func (inst *Instance) Reset() {
-	inst.mem = append(inst.mem[:0], inst.compiled.mem...)
+	img := inst.compiled.mem
+	inst.mem = inst.mem[:len(img)]
+	if hi := min(inst.dirtyHi, uint64(len(img))); inst.dirtyLo < hi {
+		copy(inst.mem[inst.dirtyLo:hi], img[inst.dirtyLo:hi])
+	}
+	inst.dirtyLo, inst.dirtyHi = clean, 0
 	copy(inst.globals, inst.compiled.globals)
 }
 
@@ -254,11 +280,12 @@ func (c *CompiledModule) evalConst(expr []wasm.Instr) (uint64, error) {
 // Module returns the underlying module.
 func (inst *Instance) Module() *wasm.Module { return inst.compiled.module }
 
-// Memory returns the linear memory backing store. Host functions may read
-// and write it directly; bounds are the caller's responsibility. The
-// slice aliases the instance's buffer, which memory.grow may replace and
-// Reset overwrites for the next run, so a caller must copy out any bytes
-// it keeps beyond the current host call (ReadMemory does).
+// Memory returns the linear memory backing store for reading; bounds are
+// the caller's responsibility. Callers must not write to it: writes go
+// through WriteMemory, which marks the range Reset restores. The slice
+// aliases the instance's buffer, which memory.grow may replace and Reset
+// overwrites for the next run, so a caller must copy out any bytes it
+// keeps beyond the current host call (ReadMemory does).
 func (inst *Instance) Memory() []byte { return inst.mem }
 
 // MemSize returns the memory size in bytes.
@@ -282,6 +309,7 @@ func (inst *Instance) WriteMemory(addr uint32, p []byte) error {
 		return &Trap{Kind: TrapMemoryOutOfBounds}
 	}
 	copy(inst.mem[addr:end], p)
+	inst.markDirty(uint64(addr), end)
 	return nil
 }
 

@@ -287,6 +287,7 @@ func (vm *VM) exec(f *funcDef, args []uint64) (results []uint64, err error) {
 					return nil, trap(TrapMemoryOutOfBounds, pc)
 				}
 				storeVal(in.Op, mem()[addr:addr+uint64(n)], val)
+				vm.inst.markDirty(addr, addr+uint64(n))
 			} else {
 				v, terr := applyNumeric(in.Op, &stack)
 				if terr != 0 {
