@@ -228,8 +228,6 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		Retry:            campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
 		Memo:             mode,
 		MemoCache:        memoCache,
-		Incremental:      cfg.Incremental,
-		FastVM:           cfg.FastVM,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
 	}
@@ -356,8 +354,6 @@ func (c *Campaign) Submit(job BatchJob) error {
 			DisableFeedback:  jcfg.DisableFeedback,
 			Seed:             seed,
 			CustomDetectors:  customs,
-			Incremental:      jcfg.Incremental,
-			FastVM:           jcfg.FastVM,
 			Adaptive:         jcfg.Adaptive,
 			SaturationWindow: jcfg.SaturationWindow,
 		},

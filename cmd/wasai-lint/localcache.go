@@ -43,9 +43,9 @@ var localcachePackages = []string{
 }
 
 // localcacheName matches identifiers that advertise cache semantics. `group`
-// is included for the incremental solver's shared-instance family groups:
-// retained group state is learned-clause reuse, which is under the same
-// audit regime as any cache.
+// is included because state shared across a group of queries (a solver
+// instance reused for several flips, say) is learned-clause reuse, which is
+// under the same audit regime as any cache.
 var localcacheName = regexp.MustCompile(`(?i)cache|memo|group`)
 
 // checkLocalCaches lints one package directory (non-test files only: test

@@ -36,8 +36,6 @@ func run() error {
 		vulnerable = flag.Bool("vulnerable", true, "demo: generate the vulnerable variant")
 		memoMode   = flag.String("memo", "", "solver memoization: off|on|shared (empty = off); findings are identical either way")
 		storeDir   = flag.String("store", "", "disk-backed memo store directory shared across runs (implies memoization); findings are identical either way")
-		incr       = flag.Bool("incremental", false, "incremental prefix-sharing solver for flip queries; findings are identical either way")
-		fastvm     = flag.Bool("fastvm", false, "decoded-IR execution engine; findings are identical either way")
 		verdicts   = flag.Bool("verdicts", false, "print per-class static verdicts and skip fuzzing when all classes are proven negative; findings are identical either way")
 		adaptive   = flag.Bool("adaptive", false, "coverage-driven power schedule: energy-weighted payload/action/seed selection and DBG-aware sequence mutation")
 		satWindow  = flag.Int("saturation-window", 0, "adaptive: stop after this many iterations without new coverage (0 = engine default)")
@@ -50,8 +48,6 @@ func run() error {
 	cfg.TraceFile = *traceOut
 	cfg.Memo = *memoMode
 	cfg.StoreDir = *storeDir
-	cfg.Incremental = *incr
-	cfg.FastVM = *fastvm
 	cfg.Verdicts = *verdicts
 	cfg.Adaptive = *adaptive
 	cfg.SaturationWindow = *satWindow

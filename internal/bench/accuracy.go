@@ -111,12 +111,6 @@ type EvalConfig struct {
 	// (off/on/shared; findings are identical either way — the cache only
 	// removes duplicated solver/decode/static work).
 	Memo memo.Mode
-	// Incremental enables the prefix-sharing incremental solver in the
-	// WASAI campaigns (findings are identical either way).
-	Incremental bool
-	// FastVM runs each campaign chain on the decoded-IR execution engine;
-	// findings digests are byte-identical either way.
-	FastVM bool
 	// Verdicts enables abstract-interpretation verdict triage in the WASAI
 	// campaigns (findings are identical either way).
 	Verdicts bool
@@ -138,7 +132,7 @@ func DefaultEvalConfig() EvalConfig {
 // engine (each campaign owns its chain, so they are independent); WASAI
 // campaigns shard as engine jobs, the baselines through campaign.Each.
 func EvaluateAccuracy(ds *Dataset, tools []Tool, cfg EvalConfig) ([]AccuracyResult, error) {
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Incremental: cfg.Incremental, FastVM: cfg.FastVM, Verdicts: cfg.Verdicts, Adaptive: cfg.Adaptive}
+	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Verdicts: cfg.Verdicts, Adaptive: cfg.Adaptive}
 	results := make([]AccuracyResult, 0, len(tools))
 	for _, tool := range tools {
 		verdicts := make([]bool, len(ds.Samples))

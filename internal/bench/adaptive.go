@@ -169,8 +169,8 @@ type adaptiveTruth struct {
 	Truth bool
 }
 
-// adaptiveCorpus draws one corpus: the verification-heavy mix the memo and
-// fastvm experiments use, where branch structure is rich enough that
+// adaptiveCorpus draws one corpus: the verification-heavy mix the memo
+// experiment uses, where branch structure is rich enough that
 // steering the budget can matter. The returned truths parallel the
 // contracts, so leg 1 can score verdicts the way the accuracy tables do.
 func adaptiveCorpus(cfg AdaptiveConfig, corpus int) ([]*contractgen.Contract, []adaptiveTruth, error) {

@@ -101,7 +101,7 @@ func EvaluateTriage(ctx context.Context, ds *Dataset, cfg TriageConfig) (*Triage
 
 	// Memo (inherited from EvalConfig) applies to both legs: the digest
 	// gate below then also witnesses cache-on findings invariance.
-	ccfg := campaign.Config{Workers: cfg.Workers, BaseSeed: cfg.Seed, Memo: cfg.Memo, Incremental: cfg.Incremental, FastVM: cfg.FastVM, Verdicts: cfg.Verdicts}
+	ccfg := campaign.Config{Workers: cfg.Workers, BaseSeed: cfg.Seed, Memo: cfg.Memo, Verdicts: cfg.Verdicts}
 	baseline, err := campaign.Run(ctx, jobs, ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: triage baseline: %w", err)

@@ -2,7 +2,13 @@ package bench
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+
+	"repro/internal/contractgen"
+	"repro/internal/eos"
+	"repro/internal/static"
+	"repro/internal/static/absint"
 )
 
 // TestEvaluateTriage smoke-runs the static-vs-dynamic agreement experiment
@@ -40,5 +46,70 @@ func TestEvaluateTriage(t *testing.T) {
 	}
 	if s := res.String(); s == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestStaticNegativesAreAbsintNegatives pins the precondition for folding
+// static triage into the absint verdicts: on the wild population and the
+// Table-4 and verification datasets, every (contract, class) pair that
+// static.Analyze leaves without a candidate flag is proven negative by
+// absint.Analyze, so the verdicts alone skip at least what triage skips.
+func TestStaticNegativesAreAbsintNegatives(t *testing.T) {
+	wild, err := contractgen.GenerateWild(contractgen.DefaultWildOptions(991), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := BuildGroundTruth(Table4Counts, Options{Scale: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver, err := BuildVerification(Table6Counts, Options{Scale: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	populations := map[string][]*contractgen.Contract{}
+	for _, w := range wild {
+		populations["wild"] = append(populations["wild"], w.Contract)
+	}
+	for _, ds := range []*Dataset{gt, ver} {
+		for _, s := range ds.Samples {
+			populations[ds.Name] = append(populations[ds.Name], s.Contract)
+		}
+	}
+	for _, name := range []string{"wild", gt.Name, ver.Name} {
+		var staticNeg, absintNeg, staticSkips, absintSkips int
+		for i, c := range populations[name] {
+			rep, err := static.Analyze(c.Module)
+			if err != nil {
+				t.Fatalf("%s #%d: static.Analyze: %v", name, i, err)
+			}
+			var actions []eos.Name
+			for _, a := range c.ABI.Actions {
+				actions = append(actions, a.Name)
+			}
+			vr := absint.Analyze(c.Module, actions)
+			for _, class := range contractgen.Classes {
+				neg := vr.Verdicts[class].Kind == absint.ProvenNegative
+				if neg {
+					absintNeg++
+				}
+				if rep.Candidates[class] {
+					continue
+				}
+				staticNeg++
+				if !neg {
+					t.Errorf("%s #%d: %s has no static candidate flag but absint says %s (%s)",
+						name, i, class, vr.Verdicts[class].Kind, vr.Verdicts[class].Reason)
+				}
+			}
+			if !rep.AnyCandidate() {
+				staticSkips++
+			}
+			if vr.AllNegative() {
+				absintSkips++
+			}
+		}
+		t.Logf("%s: %d contracts; negatives static %d, absint %d; whole-contract skips static %d, absint %d",
+			name, len(populations[name]), staticNeg, absintNeg, staticSkips, absintSkips)
 	}
 }

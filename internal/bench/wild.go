@@ -29,11 +29,6 @@ type WildConfig struct {
 	// Memo selects cross-job memoization (off/on/shared); a resumed sweep
 	// with "shared" starts with the interrupted run's warm cache.
 	Memo memo.Mode
-	// Incremental enables the prefix-sharing incremental solver
-	// (findings are identical either way).
-	Incremental bool
-	// FastVM runs each campaign chain on the decoded-IR execution engine.
-	FastVM bool
 	// Verdicts enables abstract-interpretation verdict triage: jobs with
 	// all classes proven negative skip execution, proven-positive jobs
 	// schedule confirmed-first (findings are identical either way).
@@ -98,15 +93,13 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		PerFailure:       map[failure.Class]int{},
 	}
 	engCfg := campaign.Config{
-		Workers:     cfg.Workers,
-		Journal:     cfg.Journal,
-		Resume:      cfg.Resume,
-		Retry:       campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
-		Memo:        cfg.Memo,
-		Incremental: cfg.Incremental,
-		FastVM:      cfg.FastVM,
-		Verdicts:    cfg.Verdicts,
-		Adaptive:    cfg.Adaptive,
+		Workers:  cfg.Workers,
+		Journal:  cfg.Journal,
+		Resume:   cfg.Resume,
+		Retry:    campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
+		Memo:     cfg.Memo,
+		Verdicts: cfg.Verdicts,
+		Adaptive: cfg.Adaptive,
 	}
 	fuzzCfg := func(i int) fuzz.Config {
 		return fuzz.Config{

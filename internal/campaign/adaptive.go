@@ -51,14 +51,6 @@ func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache, verdicts *verdic
 		// served — or counted — on a faulted attempt.
 		cfg.Memo = mc.SolverMemo()
 	}
-	if cc.Incremental {
-		// Campaign-wide opt-in; the solver pool drops the pre-pass on
-		// faulted attempts so the injector's call count is unchanged.
-		cfg.Incremental = true
-	}
-	if cc.FastVM {
-		cfg.FastVM = true
-	}
 	if cc.Adaptive {
 		cfg.Adaptive = true
 		if cfg.SaturationWindow == 0 {

@@ -36,8 +36,8 @@ func keepJournalPrefix(t *testing.T, path string, keep int) {
 
 // TestAdaptiveDigestWorkerInvariant: the adaptive campaign's digests are
 // identical at every worker count, both alone and composed with the full
-// optimization stack (shared memo, static triage, verdict triage, the
-// incremental solver and the decoded-IR VM) — every scheduling decision is
+// optimization stack (shared memo, static triage and verdict triage) —
+// every scheduling decision is
 // a pure function of (seed, observed coverage), so worker interleaving and
 // cache hits must be invisible.
 func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
@@ -54,8 +54,6 @@ func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
 			Memo:         memo.ModeShared,
 			StaticTriage: true,
 			Verdicts:     true,
-			Incremental:  true,
-			FastVM:       true,
 		}},
 	}
 	for _, layer := range layers {

@@ -120,17 +120,6 @@ type Config struct {
 	// facade uses it so module decoding at Submit time and the engine's
 	// solver/static tiers share one cache.
 	MemoCache *memo.Cache
-	// Incremental enables the prefix-sharing solver pre-pass in every
-	// job's adaptive-seed stage (see symbolic.PoolOptions.Incremental).
-	// Findings digests are byte-identical on/off at any worker count;
-	// faulted attempts skip the pre-pass just as they skip the memo.
-	Incremental bool
-	// FastVM runs every job's campaign chain on the decoded-IR execution
-	// engine (exec.NewFastVM). Findings digests are byte-identical on/off
-	// at any worker count; unlike Memo, the flag also applies to faulted
-	// attempts — the engines are observably identical, so a fault lands
-	// on the same host call either way.
-	FastVM bool
 	// Adaptive enables the coverage-driven scheduling layer
 	// (internal/schedule) at both levels: every job runs the intra-job
 	// power schedule (fuzz.Config.Adaptive), and Run becomes a two-phase

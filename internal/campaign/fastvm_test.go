@@ -1,157 +1,65 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/faultinject"
 	"repro/internal/memo"
 )
 
-// fastvm_test.go holds the engine-level differential for the decoded-IR
-// execution engine: Config.FastVM may only ever change execution
-// throughput, never digests, and must compose with every other engine
-// layer — memoization, static triage, the incremental solver,
-// fault-injected retries, and journal kill+resume.
+// fastvm_test.go holds the engine-level witness for the decoded-IR
+// execution engine, the chain's only engine: it may only ever change
+// execution throughput, never digests, and must compose with every other
+// engine layer — memoization, static triage, fault-injected retries, and
+// journal kill+resume. The tree-walker side of the former off/on
+// differential is pinned as the golden digests of golden_test.go.
 
-// fastVMDigests runs the same population with the flag off and on and
-// requires both digest pairs to match.
-func fastVMDigests(t *testing.T, mk func() []Job, cfg Config) (off *Report) {
-	t.Helper()
-	offCfg, onCfg := cfg, cfg
-	offCfg.FastVM = false
-	onCfg.FastVM = true
-	off, err := Run(context.Background(), mk(), offCfg)
-	if err != nil {
-		t.Fatalf("fastvm-off run: %v", err)
-	}
-	on, err := Run(context.Background(), mk(), onCfg)
-	if err != nil {
-		t.Fatalf("fastvm-on run: %v", err)
-	}
-	if got, want := on.FindingsDigest(), off.FindingsDigest(); got != want {
-		t.Errorf("FindingsDigest diverged under -fastvm:\n got: %s\nwant: %s", got, want)
-	}
-	if got, want := on.StateDigest(), off.StateDigest(); got != want {
-		t.Errorf("StateDigest diverged under -fastvm:\n got: %s\nwant: %s", got, want)
-	}
-	return off
-}
-
-// TestFastVMDigestInvariance is the flag's core contract at every worker
-// count the determinism suite uses, cross-checked against a single
-// reference so worker count and flag state are both witnessed at once.
+// TestFastVMDigestInvariance is the engine's core contract at every worker
+// count the determinism suite uses, each checked against the same
+// tree-walker reference.
 func TestFastVMDigestInvariance(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	var refFindings, refState string
-	for i, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			off := fastVMDigests(t, mk, Config{Workers: workers, BaseSeed: 7})
-			if i == 0 {
-				refFindings, refState = off.FindingsDigest(), off.StateDigest()
-				return
-			}
-			if off.FindingsDigest() != refFindings || off.StateDigest() != refState {
-				t.Errorf("digests drifted across worker counts")
-			}
+			requireGolden(t, runJobs(mk, Config{Workers: workers, BaseSeed: 7}), goldenFindings16, goldenState16)
 		})
 	}
 }
 
-// TestFastVMComposesWithMemoTriageIncremental stacks the engine flag on top
-// of cross-job memoization, static triage, and the incremental solver: four
-// layers each promise digest invariance, and this is the witness that the
-// promises hold together, not just one at a time.
+// TestFastVMComposesWithMemoTriageIncremental stacks the engine on top of
+// cross-job memoization and static triage: each layer promises digest
+// invariance, and this is the witness that the promises hold together, not
+// just one at a time. The incremental solver it once also stacked is
+// deleted; the fresh pool it deferred to is the one the golden pins.
 func TestFastVMComposesWithMemoTriageIncremental(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	fastVMDigests(t, mk, Config{
+	requireGolden(t, runJobs(mk, Config{
 		Workers:      4,
 		BaseSeed:     7,
 		Memo:         memo.ModeOn,
 		StaticTriage: true,
-		Incremental:  true,
-	})
+	}), goldenFindings16, goldenState16)
 }
 
-// TestFastVMComposesWithChaos injects faults with retries enabled on both
-// sides of the differential. Unlike the memo and the incremental pre-pass,
-// the engine flag stays on during faulted attempts — the engines are
-// observably identical, so the injector's deterministic host-call count
-// lands each fault on the same call either way, and every verdict must be
-// unchanged by the flag.
+// TestFastVMComposesWithChaos injects faults with retries enabled. The
+// engines are observably identical, so the injector's deterministic
+// host-call count lands each fault on the same call the tree-walker
+// reference saw, and every verdict must match it.
 func TestFastVMComposesWithChaos(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	off := fastVMDigests(t, mk, Config{
+	requireGolden(t, runJobs(mk, Config{
 		Workers:  4,
 		BaseSeed: 7,
 		Faults:   &faultinject.Plan{Seed: 99, Rate: 0.2},
 		Retry:    RetryPolicy{MaxAttempts: 3},
-	})
-	if off.Failed != 0 {
-		t.Fatalf("%d terminal failures at 20%% fault rate with retries", off.Failed)
-	}
+	}), goldenChaosFindings16, goldenChaosState16)
 }
 
-// TestFastVMKillResume kills a fast-engine campaign mid-flight and resumes
-// it from the journal: the stitched result must match a fault-free
-// fastvm-off reference bit for bit.
+// TestFastVMKillResume kills a campaign mid-flight and resumes it from the
+// journal: the stitched result must match the fault-free tree-walker
+// reference bit for bit.
 func TestFastVMKillResume(t *testing.T) {
-	const nJobs = 12
-	mk := func() []Job { return testJobs(t, nJobs, 30, 21) }
-	cfg := Config{Workers: 4, BaseSeed: 5}
-	ref, err := Run(context.Background(), mk(), cfg)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fcfg := cfg
-	fcfg.FastVM = true
-	fcfg.Journal = journal
-	e, err := Start(ctx, fcfg)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	go func() {
-		defer e.Close()
-		jobs := mk()
-		for i := range jobs {
-			jobs[i].ID = i
-			if err := e.Submit(jobs[i]); err != nil {
-				return // engine cancelled mid-submission; expected
-			}
-		}
-	}()
-	completed := 0
-	for jr := range e.Results() {
-		if jr.Err == nil {
-			completed++
-		}
-		if completed == 4 {
-			cancel()
-		}
-	}
-	if completed < 4 {
-		t.Fatalf("interrupted run completed only %d jobs before draining", completed)
-	}
-
-	rcfg := fcfg
-	rcfg.Resume = true
-	rep, err := Run(context.Background(), mk(), rcfg)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if rep.Replayed == 0 {
-		t.Fatal("resumed run replayed nothing from the journal")
-	}
-	if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-		t.Errorf("FindingsDigest diverged after fastvm kill+resume:\n got: %s\nwant: %s", got, want)
-	}
-	if got, want := rep.StateDigest(), ref.StateDigest(); got != want {
-		t.Errorf("StateDigest diverged after fastvm kill+resume:\n got: %s\nwant: %s", got, want)
-	}
+	mk := func() []Job { return testJobs(t, 12, 30, 21) }
+	requireGolden(t, killResume(mk, Config{Workers: 4, BaseSeed: 5}), goldenFindings12, goldenState12)
 }

@@ -80,7 +80,7 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 
 // TestOnChainOracleDeterminism runs the scenario-class population at 1, 4
 // and 8 workers, plain and with every engine layer stacked (memoization,
-// candidate triage, verdict triage, incremental solver, fast VM), and
+// candidate triage, verdict triage), and
 // requires byte-identical findings digests throughout — plus identical
 // state digests across worker counts of the plain configuration.
 func TestOnChainOracleDeterminism(t *testing.T) {
@@ -108,8 +108,6 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 				Memo:         memo.ModeOn,
 				StaticTriage: true,
 				Verdicts:     true,
-				Incremental:  true,
-				FastVM:       true,
 			})
 			if err != nil {
 				t.Fatalf("layered run: %v", err)
@@ -128,12 +126,10 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 func TestOnChainOracleKillResume(t *testing.T) {
 	mk := func() []Job { return onchainJobs(t, 30) }
 	cfg := Config{
-		Workers:     4,
-		BaseSeed:    5,
-		Memo:        memo.ModeOn,
-		Verdicts:    true,
-		Incremental: true,
-		FastVM:      true,
+		Workers:  4,
+		BaseSeed: 5,
+		Memo:     memo.ModeOn,
+		Verdicts: true,
 	}
 	ref, err := Run(context.Background(), mk(), cfg)
 	if err != nil {

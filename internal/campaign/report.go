@@ -97,9 +97,6 @@ func Aggregate(results []JobResult, wall time.Duration) *Report {
 		r.SolverStats.SATCalls += res.SolverStats.SATCalls
 		r.SolverStats.SATConflicts += res.SolverStats.SATConflicts
 		r.SolverStats.Unknowns += res.SolverStats.Unknowns
-		r.SolverStats.AssumeCalls += res.SolverStats.AssumeCalls
-		r.SolverStats.AssumeUnsats += res.SolverStats.AssumeUnsats
-		r.SolverStats.SimplifiedUnsats += res.SolverStats.SimplifiedUnsats
 		r.SolverStats.Propagations += res.SolverStats.Propagations
 		flagged := false
 		for _, class := range contractgen.Classes {

@@ -16,10 +16,10 @@ import (
 // abstract-interpretation verdict engine: Config.Verdicts may only ever
 // change which jobs execute (proven-negative skips, confirmed-first
 // ordering), never the findings, and must compose with every other engine
-// layer — memoization, static triage, the incremental solver, the fast
-// execution engine, fault-injected retries, and journal kill+resume.
+// layer — memoization, static triage, fault-injected retries, and journal
+// kill+resume.
 //
-// Unlike the fastvm differential, only FindingsDigest is compared across
+// Unlike the golden-digest tests, only FindingsDigest is compared across
 // the off/on pair: a verdict skip deliberately does no work, so the
 // state digest's coverage counters differ by design (exactly as they do
 // for static-triage skips).
@@ -103,9 +103,9 @@ func TestVerdictResolvesJobs(t *testing.T) {
 }
 
 // TestVerdictComposesWithEverything stacks the verdict engine on top of
-// cross-job memoization, candidate-level static triage, the incremental
-// solver and the fast execution engine: five layers each promise digest
-// invariance, and this is the witness that the promises hold together.
+// cross-job memoization and candidate-level static triage: three layers
+// each promise digest invariance, and this is the witness that the
+// promises hold together.
 // With both triage layers on, the candidate pass skips first and the
 // verdict pass only sees what it left behind.
 func TestVerdictComposesWithEverything(t *testing.T) {
@@ -115,8 +115,6 @@ func TestVerdictComposesWithEverything(t *testing.T) {
 		BaseSeed:     7,
 		Memo:         memo.ModeOn,
 		StaticTriage: true,
-		Incremental:  true,
-		FastVM:       true,
 	})
 }
 

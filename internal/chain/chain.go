@@ -165,10 +165,6 @@ type Blockchain struct {
 	MaxInlineDepth int
 	// Fuel is the per-action instruction budget for Wasm execution.
 	Fuel int64
-	// FastVM selects the decoded-IR execution engine (exec.NewFastVM).
-	// Behaviour is identical to the tree-walking interpreter; only
-	// throughput changes.
-	FastVM bool
 	// Faults, when non-nil, injects the planned fault ahead of host-API
 	// dispatch (see internal/faultinject). Chains execute transactions
 	// single-threaded, so the host-call order — and therefore which call
@@ -456,17 +452,16 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 }
 
 // applyWasm runs the account's apply entry on its deployed instance,
-// reset to the state linking produced. One instance per account suffices
-// because an account's apply is never re-entered while it runs:
-// notifications and inline actions are dispatched by applyActionTree only
-// after applyOne returns, and native contracts only queue them.
+// reset to the state linking produced, through the decoded-IR engine
+// (exec.NewFastVM; bodies its compiler rejects run on the tree-walker).
+// One instance per account suffices because an account's apply is never
+// re-entered while it runs: notifications and inline actions are
+// dispatched by applyActionTree only after applyOne returns, and native
+// contracts only queue them.
 func (bc *Blockchain) applyWasm(ctx *Context, acct *Account) error {
 	inst := acct.inst
 	inst.Reset()
-	vm := exec.NewVM(inst)
-	if bc.FastVM {
-		vm = exec.NewFastVM(inst)
-	}
+	vm := exec.NewFastVM(inst)
 	vm.SetFuel(bc.Fuel)
 	vm.Context = ctx
 	_, err := vm.Invoke("apply", uint64(ctx.Receiver), uint64(ctx.Code), uint64(ctx.Action))

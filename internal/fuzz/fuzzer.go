@@ -73,14 +73,11 @@ type Config struct {
 	// ignores it whenever Faults is non-nil, so faulted attempts can
 	// neither poison nor be served from a shared cache.
 	Memo symbolic.SolverMemo
-	// Incremental enables the prefix-sharing solver pre-pass for the
-	// adaptive-seed flip queries (see symbolic.PoolOptions.Incremental).
-	// Findings are byte-identical on/off; the flag only trades solver
-	// work. Ignored on faulted attempts, like Memo.
+	// Deprecated: has no effect. The incremental solver pre-pass was
+	// removed; every flip query goes to the fresh solver pool.
 	Incremental bool
-	// FastVM runs the campaign chain on the decoded-IR execution engine
-	// (exec.NewFastVM). Findings and traces are byte-identical on/off;
-	// the flag only trades execution throughput.
+	// Deprecated: has no effect. Every chain runs the decoded-IR
+	// execution engine (exec.NewFastVM).
 	FastVM bool
 	// Backend selects the chain personality (host-API surface, bootstrap
 	// accounts, API classification) the campaign and scenario chains run
@@ -232,7 +229,6 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	}
 	bc := chain.NewWithBackend(backend)
 	bc.Collector = trace.NewCollector()
-	bc.FastVM = cfg.FastVM
 	if cfg.Fuel > 0 {
 		bc.Fuel = cfg.Fuel
 	} else if cfg.Static != nil {
@@ -849,16 +845,12 @@ func (f *Fuzzer) feedback(seed Seed, params []symexec.Param, tr *trace.Trace) er
 		MaxConflicts: f.cfg.SolverConflicts,
 		Faults:       f.cfg.Faults,
 		Memo:         f.cfg.Memo,
-		Incremental:  f.cfg.Incremental,
 	})
 	f.solver.Stats.Queries += stats.Queries
 	f.solver.Stats.FastPathHits += stats.FastPathHits
 	f.solver.Stats.SATCalls += stats.SATCalls
 	f.solver.Stats.SATConflicts += stats.SATConflicts
 	f.solver.Stats.Unknowns += stats.Unknowns
-	f.solver.Stats.AssumeCalls += stats.AssumeCalls
-	f.solver.Stats.AssumeUnsats += stats.AssumeUnsats
-	f.solver.Stats.SimplifiedUnsats += stats.SimplifiedUnsats
 	f.solver.Stats.Propagations += stats.Propagations
 	for _, a := range answers {
 		if a.Result != symbolic.Sat {

@@ -24,8 +24,7 @@ type cacheCase struct {
 
 // replayCacheCorpus is a wild sample under the default config (a few of
 // them adaptive), plus §4.3 verification samples of the five Table 6
-// classes fuzzed as forks under distinct seeds with the fast VM and the
-// incremental solver on.
+// classes fuzzed as forks under distinct seeds.
 func replayCacheCorpus(t *testing.T) []cacheCase {
 	t.Helper()
 	wild, err := contractgen.GenerateWild(contractgen.DefaultWildOptions(14), rand.New(rand.NewSource(5)))
@@ -55,8 +54,6 @@ func replayCacheCorpus(t *testing.T) []cacheCase {
 			for fork := int64(1); fork <= 3; fork++ {
 				cfg := DefaultConfig()
 				cfg.KeepTraces = true
-				cfg.FastVM = true
-				cfg.Incremental = true
 				cfg.Seed = fork
 				cases = append(cases, cacheCase{name: fmt.Sprintf("%s-vul=%v-fork%d", class, vul, fork), c: c, cfg: cfg})
 			}

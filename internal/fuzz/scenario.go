@@ -70,7 +70,6 @@ func (f *Fuzzer) runScenarios(ctx context.Context) error {
 func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
 	bc := chain.NewWithBackend(f.bc.Backend())
 	bc.Collector = trace.NewCollector()
-	bc.FastVM = f.cfg.FastVM
 	bc.Fuel = f.bc.Fuel
 	if err := bc.DeployModule(victimName, f.compiled, f.abi, f.instr.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: scenario deploy: %w", err))

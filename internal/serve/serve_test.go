@@ -177,12 +177,29 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("stats = %+v", stats)
 	}
 
+	// A client still sending the retired engine toggles is admitted, and
+	// the keys change nothing.
+	body := `{"tenant":"t1","name":"e2e","contracts":4,"seed":11,"iterations":30,"memo":"shared","incremental":true,"fastvm":true}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewBufferString(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]int
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("submit with retired keys = %d (%v), want 202", resp.StatusCode, err)
+	}
+	if st2 := waitFinished(t, ts.URL, out["id"], 60*time.Second); st2.FindingsDigest != st.FindingsDigest || st2.StateDigest != st.StateDigest {
+		t.Errorf("retired keys changed the digests: %+v", st2)
+	}
+
 	// Drain: readyz flips to 503, Run returns cleanly.
 	cancel()
 	if err := <-runDone; err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	resp, err := http.Get(ts.URL + "/readyz")
+	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,6 @@ type JobSpec struct {
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	// Engine toggles; all digest-neutral.
 	Memo         string `json:"memo,omitempty"`
-	Incremental  bool   `json:"incremental,omitempty"`
-	FastVM       bool   `json:"fastvm,omitempty"`
 	Verdicts     bool   `json:"verdicts,omitempty"`
 	StaticTriage bool   `json:"static_triage,omitempty"`
 	// Adaptive turns on the coverage-driven scheduling layer (power
@@ -118,8 +116,6 @@ func CampaignConfig(spec JobSpec, journal string, resume bool, cache *memo.Cache
 		Journal:      journal,
 		Resume:       resume,
 		Memo:         mode,
-		Incremental:  spec.Incremental,
-		FastVM:       spec.FastVM,
 		Verdicts:     spec.Verdicts,
 		StaticTriage: spec.StaticTriage,
 		Adaptive:     spec.Adaptive,

@@ -9,9 +9,8 @@ import (
 // Tseitin encoding: one SAT variable per bit, gate clauses per operator.
 
 type blaster struct {
-	//wasai:localcache solver instance scoped to one query (Solve) or one flip
-	// family (groupSolver); learned-clause reuse across a family only ever
-	// proves Unsat, which is digest-invariant (models never come from here).
+	//wasai:localcache solver instance scoped to one query (Solve), discarded
+	// with the blaster; learned clauses never outlive the query.
 	sat *SAT
 	// Per-query Tseitin memo, dead once the query is solved — not a
 	// cross-job cache (those must go through internal/memo).

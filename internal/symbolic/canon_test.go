@@ -283,6 +283,74 @@ func TestSolvePoolMemo(t *testing.T) {
 	}
 }
 
+// orderMemo logs the order of memo calls: 'L' per Lookup, 'S' per Store.
+type orderMemo struct {
+	*recordingMemo
+	mu  sync.Mutex
+	log []byte
+}
+
+func (m *orderMemo) Lookup(c Canon) (SolverVerdict, bool) {
+	m.mu.Lock()
+	m.log = append(m.log, 'L')
+	m.mu.Unlock()
+	return m.recordingMemo.Lookup(c)
+}
+
+func (m *orderMemo) Store(c Canon, v SolverVerdict) {
+	m.mu.Lock()
+	m.log = append(m.log, 'S')
+	m.mu.Unlock()
+	m.recordingMemo.Store(c, v)
+}
+
+// TestSolvePoolMemoLooksUpFirst: the pool answers memo hits before any
+// worker solves, looks each query up exactly once, stores each miss under
+// its own key, and answers exactly as a memo-less pool does.
+func TestSolvePoolMemoLooksUpFirst(t *testing.T) {
+	c := NewCtx()
+	x, y := c.Var("x", 32), c.Var("y", 32)
+	cached := Query{ID: 1, Constraints: []*Expr{c.Ult(y, c.Const(2, 32))}}
+	queries := []Query{
+		{ID: 0, Constraints: []*Expr{c.Eq(c.Add(x, y), c.Const(12, 32)), c.Ult(x, c.Const(4, 32))}},
+		cached,
+		{ID: 2, Constraints: []*Expr{c.Eq(x, c.Const(0, 32)), c.Eq(x, c.Const(1, 32))}}, // Unsat
+		{ID: 3, Constraints: []*Expr{c.Eq(y, c.Const(9, 32))}},
+	}
+	mem := &orderMemo{recordingMemo: newRecordingMemo()}
+	if _, _, err := SolvePoolCtx(context.Background(), []Query{cached}, PoolOptions{Memo: mem}); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	mem.log = nil
+
+	got, stats, err := SolvePoolCtx(context.Background(), queries, PoolOptions{Workers: 2, Memo: mem})
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	if string(mem.log) != "LLLLSSS" {
+		t.Errorf("memo call order %q, want four lookups, then a store per miss (LLLLSSS)", mem.log)
+	}
+	if stats.Queries != len(queries) {
+		t.Errorf("Queries = %d, want %d", stats.Queries, len(queries))
+	}
+	for _, q := range queries {
+		if _, ok := mem.store[Canonicalize(q.Constraints, 0).Ordered]; !ok {
+			t.Errorf("query %d: no verdict stored under its key", q.ID)
+		}
+	}
+	want := SolvePool(queries, 2, 0)
+	for i := range queries {
+		if got[i].ID != want[i].ID || got[i].Result != want[i].Result {
+			t.Fatalf("answer %d: got (%d,%v), memo-less (%d,%v)", i, got[i].ID, got[i].Result, want[i].ID, want[i].Result)
+		}
+		for k, v := range want[i].Model {
+			if got[i].Model[k] != v {
+				t.Errorf("answer %d: model[%s] = %d, memo-less %d", i, k, got[i].Model[k], v)
+			}
+		}
+	}
+}
+
 // TestSolvePoolMemoBypassedUnderFaults: with an injector present the pool
 // must not touch the cache at all — no lookups, no stores.
 func TestSolvePoolMemoBypassedUnderFaults(t *testing.T) {

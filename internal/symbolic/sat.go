@@ -58,7 +58,6 @@ type SAT struct {
 	phase     []bool
 	conflicts int64
 	props     int64 // literals dequeued by unit propagation
-	failed    []Lit // failed-assumption set of the last SolveAssuming call
 
 	// MaxConflicts bounds the search; 0 means unlimited. Exceeding it makes
 	// Solve return unknown (false, false).
@@ -425,33 +424,14 @@ func luby(i int64) int64 {
 }
 
 // Solve searches for a satisfying assignment. It returns (sat, ok): ok is
-// false when the conflict budget was exhausted (result unknown).
-func (s *SAT) Solve() (bool, bool) { return s.SolveAssuming(nil) }
-
-// SolveAssuming searches for a satisfying assignment under the given
-// assumption literals. Each assumption occupies its own decision level
-// (re-installed by the decide loop after restarts and backjumps), so the
-// learned clauses never mention assumption-dependent facts as implied —
-// assumptions are decisions with no reason clause, and therefore survive
-// into learned clauses as ordinary literals. That makes the entire clause
-// database, the variable activities and the saved phases sound to retain
-// across calls with different assumption sets: everything learned is a
-// consequence of the clause database alone.
-//
-// It returns (sat, ok): ok is false when the per-call conflict budget was
-// exhausted or Stop fired (result unknown). On (false, true) the formula is
-// unsatisfiable under the assumptions; FailedAssumptions then reports a
-// subset of the assumptions sufficient for the contradiction (empty when
-// the clause database is unsatisfiable on its own).
-//
-// MaxConflicts bounds each call independently, not the instance lifetime.
-func (s *SAT) SolveAssuming(assumptions []Lit) (bool, bool) {
-	s.failed = s.failed[:0]
+// false when the conflict budget was exhausted or Stop fired (result
+// unknown). MaxConflicts bounds each call independently.
+func (s *SAT) Solve() (bool, bool) {
 	if s.unsat {
 		return false, true
 	}
-	// Incremental calls inherit the previous call's trail: rewind to the
-	// root level (level-0 facts are permanent) before searching anew.
+	// A repeated call starts again from the root level (level-0 facts are
+	// permanent).
 	s.backtrack(0)
 	if conf := s.propagate(); conf != nil {
 		s.unsat = true
@@ -477,7 +457,7 @@ func (s *SAT) SolveAssuming(assumptions []Lit) (bool, bool) {
 			}
 			if len(s.trailLim) == 0 {
 				s.unsat = true
-				return false, true // conflict at root: unsat regardless of assumptions
+				return false, true // conflict at root
 			}
 			learned, btLevel := s.analyze(conf)
 			s.backtrack(btLevel)
@@ -508,25 +488,6 @@ func (s *SAT) SolveAssuming(assumptions []Lit) (bool, bool) {
 			}
 			continue
 		}
-		// Install the next pending assumption as its own decision level.
-		// Doing it here — not once up front — keeps assumptions in force
-		// across restarts and backjumps below the assumption levels.
-		if len(s.trailLim) < len(assumptions) {
-			p := assumptions[len(s.trailLim)]
-			switch s.value(p) {
-			case lTrue:
-				// Already implied: open an empty level so the level index
-				// keeps matching the assumption index.
-				s.trailLim = append(s.trailLim, len(s.trail))
-			case lFalse:
-				s.analyzeFinal(p)
-				return false, true
-			default:
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(p, nil)
-			}
-			continue
-		}
 		v := s.pickBranch()
 		if v < 0 {
 			return true, true // all assigned, no conflict
@@ -538,41 +499,6 @@ func (s *SAT) SolveAssuming(assumptions []Lit) (bool, bool) {
 		}
 	}
 }
-
-// analyzeFinal computes the failed-assumption set after assumption p was
-// found falsified: p plus the installed assumptions whose propagation chain
-// implies ¬p. The clause database conjoined with that subset alone is
-// unsatisfiable.
-func (s *SAT) analyzeFinal(p Lit) {
-	s.failed = append(s.failed, p)
-	if len(s.trailLim) == 0 {
-		return // ¬p holds at the root: p alone is the contradiction
-	}
-	seen := map[int]bool{p.Var(): true}
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !seen[v] {
-			continue
-		}
-		if s.reason[v] == nil {
-			// A decision above the root is an installed assumption.
-			s.failed = append(s.failed, s.trail[i])
-		} else {
-			for _, l := range s.reason[v].lits {
-				if s.level[l.Var()] > 0 {
-					seen[l.Var()] = true
-				}
-			}
-		}
-	}
-}
-
-// FailedAssumptions returns the failed-assumption set of the last
-// SolveAssuming call that reported unsatisfiable: a subset of its
-// assumptions that contradicts the clause database. It is empty when the
-// database is unsatisfiable without any assumptions. The slice is reused
-// by the next call.
-func (s *SAT) FailedAssumptions() []Lit { return s.failed }
 
 // ValueOf returns the assignment of variable v after a SAT result.
 func (s *SAT) ValueOf(v int) bool { return s.assign[v] == lTrue }

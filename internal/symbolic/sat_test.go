@@ -158,125 +158,6 @@ func TestSATRandom3SAT(t *testing.T) {
 	}
 }
 
-// guardedPigeonhole is pigeonhole(n) with every clause behind one selector
-// variable g: assuming g reproduces the hard refutation, releasing it makes
-// the instance trivially satisfiable. The classic incremental-SAT pattern.
-func guardedPigeonhole(n int) (*SAT, Lit) {
-	s := NewSAT((n+1)*n + 1)
-	g := (n + 1) * n
-	guard := MkLit(g, true)
-	v := func(p, h int) int { return p*n + h }
-	for p := 0; p <= n; p++ {
-		lits := []Lit{guard}
-		for h := 0; h < n; h++ {
-			lits = append(lits, MkLit(v(p, h), false))
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(guard, MkLit(v(p1, h), true), MkLit(v(p2, h), true))
-			}
-		}
-	}
-	return s, MkLit(g, false)
-}
-
-func TestSolveAssumingBasic(t *testing.T) {
-	s := NewSAT(2)
-	s.AddClause(MkLit(0, false), MkLit(1, false)) // x0 | x1
-	sat, ok := s.SolveAssuming([]Lit{MkLit(0, true)})
-	if !ok || !sat {
-		t.Fatalf("sat under {!x0}: sat=%v ok=%v", sat, ok)
-	}
-	if s.ValueOf(0) || !s.ValueOf(1) {
-		t.Errorf("model under {!x0}: x0=%v x1=%v", s.ValueOf(0), s.ValueOf(1))
-	}
-	sat, ok = s.SolveAssuming([]Lit{MkLit(0, true), MkLit(1, true)})
-	if !ok || sat {
-		t.Fatalf("want unsat under {!x0,!x1}: sat=%v ok=%v", sat, ok)
-	}
-	failed := s.FailedAssumptions()
-	if len(failed) == 0 {
-		t.Error("assumption-unsat must report a failed set")
-	}
-	for _, l := range failed {
-		if l != MkLit(0, true) && l != MkLit(1, true) {
-			t.Errorf("failed literal %v is not an assumption", l)
-		}
-	}
-	// The instance survives an assumption-unsat: the formula itself is sat.
-	if sat, ok := s.Solve(); !ok || !sat {
-		t.Fatalf("formula without assumptions must be sat: sat=%v ok=%v", sat, ok)
-	}
-}
-
-func TestSolveAssumingFailedChain(t *testing.T) {
-	// x0 -> x1 -> x2: assuming x0 and !x2 is contradictory and the failed
-	// set must name only assumptions.
-	s := NewSAT(3)
-	s.AddClause(MkLit(0, true), MkLit(1, false))
-	s.AddClause(MkLit(1, true), MkLit(2, false))
-	assume := []Lit{MkLit(0, false), MkLit(2, true)}
-	sat, ok := s.SolveAssuming(assume)
-	if !ok || sat {
-		t.Fatalf("want unsat under {x0,!x2}: sat=%v ok=%v", sat, ok)
-	}
-	if len(s.FailedAssumptions()) == 0 {
-		t.Fatal("empty failed set")
-	}
-	for _, l := range s.FailedAssumptions() {
-		if l != assume[0] && l != assume[1] {
-			t.Errorf("failed literal %v is not an assumption", l)
-		}
-	}
-}
-
-// TestSolveAssumingClauseRetention refutes guarded PHP(5) twice under the
-// selector: clauses learned by the first call must survive, making the
-// second refutation strictly cheaper — the property the incremental flip
-// loop's prefix sharing is built on.
-func TestSolveAssumingClauseRetention(t *testing.T) {
-	s, g := guardedPigeonhole(5)
-	start := s.conflicts
-	if sat, ok := s.SolveAssuming([]Lit{g}); !ok || sat {
-		t.Fatalf("guarded PHP(5) must refute under g: sat=%v ok=%v", sat, ok)
-	}
-	c1 := s.conflicts - start
-	start = s.conflicts
-	if sat, ok := s.SolveAssuming([]Lit{g}); !ok || sat {
-		t.Fatalf("second refutation: sat=%v ok=%v", sat, ok)
-	}
-	c2 := s.conflicts - start
-	if c1 == 0 {
-		t.Fatal("first refutation needed no conflicts — instance too easy to witness retention")
-	}
-	if c2 >= c1 {
-		t.Errorf("no learned-clause reuse: first refutation %d conflicts, second %d", c1, c2)
-	}
-	// Releasing the guard satisfies every clause.
-	if sat, ok := s.Solve(); !ok || !sat {
-		t.Fatalf("instance must be sat without the assumption: sat=%v ok=%v", sat, ok)
-	}
-}
-
-// TestSolveAssumingBudgetPerCall pins the budget semantics: MaxConflicts
-// bounds each call, not the instance lifetime, so an exhausted call leaves
-// the instance usable and a refreshed budget finishes the refutation.
-func TestSolveAssumingBudgetPerCall(t *testing.T) {
-	s, g := guardedPigeonhole(7)
-	s.MaxConflicts = 5
-	if _, ok := s.SolveAssuming([]Lit{g}); ok {
-		t.Skip("solver refuted guarded PHP(7) within 5 conflicts — unexpected but not wrong")
-	}
-	s.MaxConflicts = 0 // unlimited
-	sat, ok := s.SolveAssuming([]Lit{g})
-	if !ok || sat {
-		t.Fatalf("refreshed budget must finish the refutation: sat=%v ok=%v", sat, ok)
-	}
-}
-
 // The two pickBranch benchmarks below measure the indexed-heap decision
 // queue against the linear activity scan it replaced (identical decisions —
 // activity descending, ties to the lower index — so digests and sat_calls

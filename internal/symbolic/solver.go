@@ -50,24 +50,14 @@ type Solver struct {
 }
 
 // SolverStats counts solver activity for the evaluation harness.
+// Propagations totals unit-propagation work across DPLL instances.
 type SolverStats struct {
 	Queries      int
 	FastPathHits int
 	SATCalls     int
 	SATConflicts int64
 	Unknowns     int
-	// Incremental-path counters (PoolOptions.Incremental). AssumeCalls
-	// counts assumption solves on the shared group instance (deliberately
-	// NOT included in SATCalls, which keeps counting fresh DPLL instances
-	// so cross-run SATCalls comparisons stay meaningful); AssumeUnsats is
-	// how many of those proved Unsat and answered the query early.
-	// SimplifiedUnsats counts queries short-circuited by the word-level
-	// simplifier alone. Propagations totals unit-propagation work across
-	// fresh and shared instances — the denominator for "CDCL work saved".
-	AssumeCalls      int
-	AssumeUnsats     int
-	SimplifiedUnsats int
-	Propagations     int64
+	Propagations int64
 }
 
 // Solve decides the conjunction of constraints (each 1-bit wide). On Sat it
@@ -454,18 +444,6 @@ type PoolOptions struct {
 	// attempt must neither be served from nor feed the cache, so an
 	// injected fault can never poison results shared with clean attempts.
 	Memo SolverMemo
-	// Incremental enables the sequential prefix-sharing pre-pass: queries
-	// are first simplified at the word level and then attempted as
-	// assumption solves on one shared SAT instance that retains learned
-	// clauses across the flip family. The pre-pass only serves answers
-	// that are byte-identical to the fresh path's (memo hits, trivial
-	// verdicts, deterministic probe models, and Unsat proofs — never a
-	// model found under retained heuristic state), so findings digests are
-	// invariant under this flag. Ignored whenever Faults is non-nil:
-	// faulted attempts bypass group reuse exactly as they bypass the memo,
-	// and skipping the pre-pass keeps the injector's deterministic
-	// per-query call count unchanged.
-	Incremental bool
 }
 
 // SolvePoolCtx is the resilient form of SolvePoolStats: the context
@@ -486,47 +464,55 @@ func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Ans
 		memo = nil
 	}
 	answers := make([]Answer, len(queries))
-	solved := make([]bool, len(queries))
-	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		stats   SolverStats
-		poolErr error
-		aborted atomic.Bool
-	)
-	if opts.Incremental && opts.Faults == nil {
-		// Sequential pre-pass: answer what the shared-instance path can
-		// answer deterministically, leave the rest for the fresh pool.
-		solveIncremental(ctx, queries, opts, memo, answers, solved, &stats)
+	var stats SolverStats
+	// Memo hits are answered here, before any worker starts, so a batch
+	// the memo answers in full starts no goroutine. Each miss keeps its
+	// Canon for the Store after solving.
+	type task struct {
+		pos   int
+		canon Canon
 	}
-	remaining := 0
-	for _, done := range solved {
-		if !done {
-			remaining++
+	misses := make([]task, 0, len(queries))
+	for i, q := range queries {
+		var canon Canon
+		if memo != nil {
+			canon = Canonicalize(q.Constraints, opts.MaxConflicts)
+			if v, ok := memo.Lookup(canon); ok {
+				var m Model
+				if v.Result == Sat {
+					m = v.ModelFor(canon)
+				}
+				answers[i] = Answer{ID: q.ID, Model: m, Result: v.Result}
+				// A hit still counts as a query (Queries stays
+				// comparable memo-on vs memo-off) but skips the fast
+				// path and DPLL, so SATCalls/FastPathHits record only
+				// real solving work.
+				stats.Queries++
+				continue
+			}
 		}
+		misses = append(misses, task{pos: i, canon: canon})
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = remaining
-		if workers > 8 {
-			workers = 8
-		}
+		workers = 8
 	}
-	if workers > remaining {
-		workers = remaining
-	}
-	type task struct {
-		pos int
-		q   Query
-	}
+	workers = min(workers, len(misses))
+	var (
+		mu      sync.Mutex
+		wg      sync.WaitGroup
+		poolErr error
+		aborted atomic.Bool
+	)
 	in := make(chan task)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for t := range in {
+				q := queries[t.pos]
 				if aborted.Load() {
-					answers[t.pos] = Answer{ID: t.q.ID, Result: Unknown}
+					answers[t.pos] = Answer{ID: q.ID, Result: Unknown}
 					continue
 				}
 				if err := opts.Faults.SolverFault(); err != nil {
@@ -536,34 +522,15 @@ func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Ans
 						poolErr = err
 					}
 					mu.Unlock()
-					answers[t.pos] = Answer{ID: t.q.ID, Result: Unknown}
+					answers[t.pos] = Answer{ID: q.ID, Result: Unknown}
 					continue
 				}
-				var canon Canon
-				if memo != nil {
-					canon = Canonicalize(t.q.Constraints, opts.MaxConflicts)
-					if v, ok := memo.Lookup(canon); ok {
-						var m Model
-						if v.Result == Sat {
-							m = v.ModelFor(canon)
-						}
-						answers[t.pos] = Answer{ID: t.q.ID, Model: m, Result: v.Result}
-						mu.Lock()
-						// A hit still counts as a query (Queries stays
-						// comparable memo-on vs memo-off) but skips the
-						// fast path and DPLL, so SATCalls/FastPathHits
-						// record only real solving work.
-						stats.Queries++
-						mu.Unlock()
-						continue
-					}
-				}
 				s := &Solver{MaxConflicts: opts.MaxConflicts, Stop: ctx.Done()}
-				m, r := s.Solve(t.q.Constraints)
+				m, r := s.Solve(q.Constraints)
 				if memo != nil && (r == Sat || r == Unsat) {
-					memo.Store(canon, VerdictOf(canon, m, r))
+					memo.Store(t.canon, VerdictOf(t.canon, m, r))
 				}
-				answers[t.pos] = Answer{ID: t.q.ID, Model: m, Result: r}
+				answers[t.pos] = Answer{ID: q.ID, Model: m, Result: r}
 				mu.Lock()
 				stats.Queries += s.Stats.Queries
 				stats.FastPathHits += s.Stats.FastPathHits
@@ -575,116 +542,10 @@ func SolvePoolCtx(ctx context.Context, queries []Query, opts PoolOptions) ([]Ans
 			}
 		}()
 	}
-	for i, q := range queries {
-		if solved[i] {
-			continue
-		}
-		in <- task{pos: i, q: q}
+	for _, t := range misses {
+		in <- t
 	}
 	close(in)
 	wg.Wait()
 	return answers, stats, poolErr
-}
-
-// solveIncremental is the prefix-sharing pre-pass behind
-// PoolOptions.Incremental. It walks the flip family sequentially (the shared
-// SAT instance is stateful, and sequential order makes retained-state effects
-// a pure function of the query list) and answers each query from the first
-// source that is provably identical to what the fresh pool would produce:
-//
-//  1. memo hit (same lookup the fresh worker performs first),
-//  2. trivial verdicts (constant-False conjunct / all-True conjunction),
-//  3. the concrete probe — a pure function of the query, so its Sat model
-//     is byte-identical to the fresh path's,
-//  4. word-level simplification proving the conjunction False,
-//  5. an assumption solve on the shared instance — served only when Unsat.
-//
-// Sat under assumptions is never served: retained learned clauses, VSIDS
-// activity, and saved phases can steer CDCL to a different satisfying
-// assignment than a fresh instance would find, and Sat models become
-// adaptive seeds. Those queries (and Unknowns) fall through unanswered and
-// are solved by the unchanged parallel fresh path, which is what keeps
-// FindingsDigest and StateDigest byte-identical incremental on/off at any
-// worker count. Group- and simplifier-proved Unsats are genuinely
-// unsatisfiable, so storing them in the memo is sound; the fresh run may
-// cache Unknown-free subsets differently, which is digest-invisible because
-// only Sat results feed the seed queue.
-func solveIncremental(ctx context.Context, queries []Query, opts PoolOptions, memo SolverMemo, answers []Answer, solved []bool, stats *SolverStats) {
-	budget := opts.MaxConflicts
-	if budget == 0 {
-		budget = DefaultMaxConflicts
-	}
-	simp := NewSimplifier()
-	group := newGroupSolver()
-	prober := &Solver{} // method receiver only; its stats stay untouched
-	for i, q := range queries {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		var canon Canon
-		if memo != nil {
-			canon = Canonicalize(q.Constraints, opts.MaxConflicts)
-			if v, ok := memo.Lookup(canon); ok {
-				var m Model
-				if v.Result == Sat {
-					m = v.ModelFor(canon)
-				}
-				answers[i] = Answer{ID: q.ID, Model: m, Result: v.Result}
-				solved[i] = true
-				stats.Queries++
-				continue
-			}
-		}
-		serve := func(m Model, r Result) {
-			answers[i] = Answer{ID: q.ID, Model: m, Result: r}
-			solved[i] = true
-			stats.Queries++
-			if memo != nil && (r == Sat || r == Unsat) {
-				memo.Store(canon, VerdictOf(canon, m, r))
-			}
-		}
-		// Mirror Solve's trivial filter exactly.
-		var live []*Expr
-		hasFalse := false
-		for _, c := range q.Constraints {
-			if c.IsFalse() {
-				hasFalse = true
-				break
-			}
-			if c.IsTrue() {
-				continue
-			}
-			live = append(live, c)
-		}
-		if hasFalse {
-			serve(nil, Unsat)
-			continue
-		}
-		if len(live) == 0 {
-			serve(Model{}, Sat)
-			continue
-		}
-		if m, ok := prober.probe(live); ok {
-			stats.FastPathHits++
-			serve(m, Sat)
-			continue
-		}
-		simplified, provenFalse := simp.Conjunction(live)
-		if provenFalse {
-			stats.SimplifiedUnsats++
-			serve(nil, Unsat)
-			continue
-		}
-		stats.AssumeCalls++
-		before := group.conflicts()
-		unsat := group.proveUnsat(simplified, budget, ctx.Done())
-		stats.SATConflicts += group.conflicts() - before
-		if unsat {
-			stats.AssumeUnsats++
-			serve(nil, Unsat)
-		}
-	}
-	stats.Propagations += group.props()
 }

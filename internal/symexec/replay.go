@@ -137,7 +137,7 @@ var errTraceEnd = errors.New("trace exhausted")
 // hooks are host calls, which the tree-walking interpreter and the
 // decoded-IR engine (exec.NewFastVM) dispatch identically, so a trace —
 // and therefore this replay — is byte-identical whichever engine produced
-// it. fuzz.Config.FastVM needs no counterpart here.
+// it.
 func Run(mod *wasm.Module, tr *trace.Trace, params []Param, opts Options) (*Result, error) {
 	ctx := symbolic.NewCtx()
 	r := &replayer{

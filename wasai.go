@@ -79,16 +79,11 @@ type Config struct {
 	// entries degrade to cache misses — they can cost a solver call,
 	// never change a finding.
 	StoreDir string
-	// Incremental enables the prefix-sharing incremental solver for the
-	// adaptive-seed flip queries: one shared SAT instance per trace family
-	// answers flips as assumption solves, retaining learned clauses, plus
-	// a word-level simplification pre-pass. Findings are byte-identical
-	// on/off; the flag only reduces solver work.
+	// Deprecated: has no effect. The incremental solver pre-pass was
+	// removed; every flip query goes to the fresh solver pool.
 	Incremental bool
-	// FastVM runs contract execution on the decoded-IR direct-threaded
-	// engine instead of the tree-walking interpreter. Findings, traces
-	// and digests are byte-identical on/off; the flag only raises
-	// execution throughput.
+	// Deprecated: has no effect. Contract execution always runs on the
+	// decoded-IR engine.
 	FastVM bool
 	// Adaptive enables the coverage-driven power schedule
 	// (internal/schedule): payload/action arms and seed-pool entries carry
@@ -239,8 +234,6 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 		KeepTraces:       cfg.TraceFile != "",
 		CustomDetectors:  customs,
 		Memo:             cache.SolverMemo(),
-		Incremental:      cfg.Incremental,
-		FastVM:           cfg.FastVM,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
 	})
