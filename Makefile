@@ -68,7 +68,7 @@ bench-baseline:
 # retire ≥2x the instructions/sec of the reference tree-walker on the hot
 # workload, with the same result and fuel (exit status is the assertion).
 # Campaign-level equivalence is pinned by the golden digests of
-# `go test ./internal/campaign -run ReferenceGoldenDigests`.
+# `go test ./internal/campaign -run 'TestFastVM|TestIncremental'`.
 fastvm:
 	$(GO) run ./cmd/wasai-bench -exp fastvm
 
@@ -99,7 +99,10 @@ adaptive:
 # Write pprof profiles of one wasai-bench experiment:
 # `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`. The default regress
 # workload is solver-heavy at 2% scale; profile the default-config wild path
-# with `make profile EXP=rq4 ARGS='-scale 0.1'`.
+# the way perfbench's `wild` workload runs it (1 worker, GC percent 400)
+# with `GOGC=400 make profile EXP=rq4 ARGS='-scale 1 -workers 1'`. At the
+# default GOGC and one worker per CPU, GC takes about 2.6 times its
+# perfbench share of the samples.
 EXP ?= regress
 ARGS ?=
 profile:

@@ -46,22 +46,26 @@ func verdictDigests(t *testing.T, mk func() []Job, cfg Config) (off, on *Report)
 }
 
 // TestVerdictDigestInvariance is the flag's core contract at every worker
-// count the determinism suite uses, cross-checked against a single
-// reference so worker count and flag state are both witnessed at once. The
-// verdicts-on runs must also be state-identical to each other across
-// worker counts — skipping is deterministic, not scheduling-dependent.
+// count the determinism suite uses: both legs must reproduce the golden
+// findings digest of the same population (golden_test.go), so worker
+// count and flag state are both witnessed at once and the two legs cannot
+// drift together. The verdicts-on runs must also be state-identical to
+// each other across worker counts — skipping is deterministic, not
+// scheduling-dependent.
 func TestVerdictDigestInvariance(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
-	var refFindings, refOnState string
+	var refOnState string
 	for i, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			off, on := verdictDigests(t, mk, Config{Workers: workers, BaseSeed: 7})
-			if i == 0 {
-				refFindings, refOnState = off.FindingsDigest(), on.StateDigest()
-				return
+			for leg, rep := range map[string]*Report{"off": off, "on": on} {
+				if got := sha256Hex(rep.FindingsDigest()); got != goldenFindings16 {
+					t.Errorf("verdicts-%s FindingsDigest sha256 %s, want %s", leg, got, goldenFindings16)
+				}
 			}
-			if off.FindingsDigest() != refFindings {
-				t.Errorf("findings digest drifted across worker counts")
+			if i == 0 {
+				refOnState = on.StateDigest()
+				return
 			}
 			if on.StateDigest() != refOnState {
 				t.Errorf("verdicts-on state digest drifted across worker counts")

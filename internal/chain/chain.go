@@ -137,10 +137,11 @@ type Account struct {
 	// Native contract (nil for Wasm accounts).
 	Native NativeContract
 
-	// inst is the instance linked when Module was deployed. Every apply
-	// resets and reuses it. DeployModule replaces it, and DeployNative
-	// and UnDeploy drop it, so a redeployed account never runs stale code.
-	inst *exec.Instance
+	// vm runs the instance linked when Module was deployed, for the
+	// deployment's lifetime: every apply resets the instance and reuses
+	// both. DeployModule replaces it, and DeployNative and UnDeploy drop
+	// it, so a redeployed account never runs stale code.
+	vm *exec.VM
 }
 
 // HasCode reports whether the account has any contract deployed.
@@ -251,7 +252,8 @@ func (bc *Blockchain) DeployWasm(name eos.Name, bin []byte, contractABI *abi.ABI
 
 // DeployModule installs an already-compiled module (used by the fuzzer,
 // which instruments and compiles a module once and deploys it on several
-// chains). The account gets its own instance, linked here.
+// chains). The account gets its own instance, linked here, and the
+// decoded-IR VM that runs it.
 func (bc *Blockchain) DeployModule(name eos.Name, cm *exec.CompiledModule, contractABI *abi.ABI, sites *instrument.SiteTable) error {
 	a := bc.CreateAccount(name)
 	inst, err := cm.Link(bc.imports)
@@ -259,7 +261,7 @@ func (bc *Blockchain) DeployModule(name eos.Name, cm *exec.CompiledModule, contr
 		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
 	}
 	a.Module = cm.Module()
-	a.inst = inst
+	a.vm = exec.NewFastVM(inst)
 	a.ABI = contractABI
 	a.Sites = sites
 	a.Native = nil
@@ -272,7 +274,7 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 	a.Native = n
 	a.ABI = contractABI
 	a.Module = nil
-	a.inst = nil
+	a.vm = nil
 }
 
 // UnDeploy removes the contract from an account (the paper's "abandoned"
@@ -280,7 +282,7 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 func (bc *Blockchain) UnDeploy(name eos.Name) {
 	if a, ok := bc.accounts[name]; ok {
 		a.Module = nil
-		a.inst = nil
+		a.vm = nil
 		a.Native = nil
 	}
 }
@@ -426,6 +428,7 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 		Action:   act.Name,
 		Data:     act.Data,
 		Auth:     act.Authorization,
+		sites:    acct.Sites,
 		iters:    NewIterCache(bc.db),
 		depth:    depth,
 	}
@@ -451,19 +454,21 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	return ctx.notified, ctx.inline, nil
 }
 
-// applyWasm runs the account's apply entry on its deployed instance,
-// reset to the state linking produced, through the decoded-IR engine
-// (exec.NewFastVM; bodies its compiler rejects run on the tree-walker).
-// One instance per account suffices because an account's apply is never
-// re-entered while it runs: notifications and inline actions are
-// dispatched by applyActionTree only after applyOne returns, and native
-// contracts only queue them.
+// applyWasm runs the account's apply entry on its deployment's VM, with
+// the instance reset to the state linking produced. The VM runs the
+// decoded-IR engine (exec.NewFastVM; bodies its compiler rejects run on
+// the tree-walker). One instance and one VM per account suffice because
+// an account's apply is never re-entered while it runs: notifications and
+// inline actions are dispatched by applyActionTree only after applyOne
+// returns, and native contracts only queue them.
 func (bc *Blockchain) applyWasm(ctx *Context, acct *Account) error {
-	inst := acct.inst
-	inst.Reset()
-	vm := exec.NewFastVM(inst)
+	vm := acct.vm
+	vm.Instance().Reset()
 	vm.SetFuel(bc.Fuel)
 	vm.Context = ctx
 	_, err := vm.Invoke("apply", uint64(ctx.Receiver), uint64(ctx.Code), uint64(ctx.Action))
+	// The account outlives the apply; its VM must not keep the receipt
+	// the context points to alive.
+	vm.Context = nil
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/eos"
+	"repro/internal/instrument"
 )
 
 // Context is the apply context of one contract execution: the state the
@@ -26,6 +27,10 @@ type Context struct {
 	// Auth is the action's authorization list.
 	Auth []PermissionLevel
 
+	// sites is the receiver's instrumentation site table (nil when its
+	// binary is not instrumented), which the wasai.* hooks resolve
+	// events against.
+	sites    *instrument.SiteTable
 	iters    *IterCache
 	console  strings.Builder
 	notified []eos.Name

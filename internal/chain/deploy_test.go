@@ -44,19 +44,43 @@ func printiModule(t *testing.T, k int64) *wasm.Module {
 // TestRedeployRunsNewCode walks one account through every way its code
 // can change — a Wasm redeploy, a native deploy, an undeploy and a
 // redeploy of a compiled module — and checks each step runs the new code,
-// never the instance linked for the previous deployment.
+// never the instance linked for the previous deployment. A Wasm
+// deployment keeps one VM across its applies, and no apply leaves its
+// context on it; each change of code replaces or drops that VM.
 func TestRedeployRunsNewCode(t *testing.T) {
 	bc := New()
 	ctr := eos.MustName("swapper")
 	push := func() string {
 		t.Helper()
+		vm := bc.Account(ctr).vm
 		rcpt := bc.PushTransaction(Transaction{Actions: []Action{{
 			Account: ctr, Name: eos.MustName("go"), Authorization: auth(alice),
 		}}})
 		if rcpt.Err != nil {
 			t.Fatalf("push: %v", rcpt.Err)
 		}
+		if got := bc.Account(ctr).vm; got != vm {
+			t.Fatalf("an apply replaced the account's VM %p with %p", vm, got)
+		}
+		if vm != nil && vm.Context != nil {
+			t.Fatalf("the account's VM kept the apply context %v", vm.Context)
+		}
 		return rcpt.Console
+	}
+	vms := map[*exec.VM]bool{}
+	requireNewVM := func(step string) {
+		t.Helper()
+		vm := bc.Account(ctr).vm
+		if vm == nil || vms[vm] {
+			t.Fatalf("%s: account VM %p, want a new one", step, vm)
+		}
+		vms[vm] = true
+	}
+	requireNoVM := func(step string) {
+		t.Helper()
+		if vm := bc.Account(ctr).vm; vm != nil {
+			t.Fatalf("%s: account kept VM %p, want none", step, vm)
+		}
 	}
 	deployWasm := func(k int64) {
 		t.Helper()
@@ -70,10 +94,14 @@ func TestRedeployRunsNewCode(t *testing.T) {
 	}
 
 	deployWasm(1)
-	if got := push(); got != "1" {
-		t.Fatalf("first deployment printed %q, want 1", got)
+	requireNewVM("first deployment")
+	for i := 0; i < 2; i++ {
+		if got := push(); got != "1" {
+			t.Fatalf("first deployment, apply %d printed %q, want 1", i, got)
+		}
 	}
 	deployWasm(2)
+	requireNewVM("Wasm redeploy")
 	if got := push(); got != "2" {
 		t.Fatalf("Wasm redeploy printed %q, want 2", got)
 	}
@@ -81,6 +109,7 @@ func TestRedeployRunsNewCode(t *testing.T) {
 		ctx.Print("native")
 		return nil
 	}), nil)
+	requireNoVM("native deploy")
 	if got := push(); got != "native" {
 		t.Fatalf("native deploy printed %q, want native", got)
 	}
@@ -91,9 +120,12 @@ func TestRedeployRunsNewCode(t *testing.T) {
 	if err := bc.DeployModule(ctr, mustCompile(t, printiModule(t, 3)), nil, nil); err != nil {
 		t.Fatalf("DeployModule: %v", err)
 	}
+	requireNewVM("DeployModule after UnDeploy")
 	if got := push(); got != "3" {
 		t.Fatalf("DeployModule after UnDeploy printed %q, want 3", got)
 	}
+	bc.UnDeploy(ctr)
+	requireNoVM("undeploy")
 }
 
 // selfCallModule is a contract that prints its global, memory cell 0, a
@@ -227,7 +259,7 @@ func TestResetRestoresHostWrites(t *testing.T) {
 				t.Fatalf("apply: %v", rcpt.Err)
 			}
 		}
-		return bc.Account(ctr).inst.Memory()
+		return bc.Account(ctr).vm.Instance().Memory()
 	}
 	long, short := bytes.Repeat([]byte("long payload "), 8), []byte("short")
 	if !bytes.Equal(memoryAfter(long, short), memoryAfter(short)) {

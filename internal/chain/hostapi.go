@@ -115,19 +115,18 @@ func (bc *Blockchain) newResolver() exec.Resolver {
 }
 
 // hookModule implements the wasai.* logging imports the instrumenter
-// injects. Events reference original-module coordinates via the deployed
-// account's site table.
+// injects. Events reference original-module coordinates via the
+// receiver's site table, which applyOne puts on the apply context.
 func (bc *Blockchain) hookModule() exec.HostModule {
 	emit := func(vm *exec.VM, kind trace.HookKind, site uint32, operand uint64) error {
 		if bc.Collector == nil {
 			return nil
 		}
 		ctx := ctxOf(vm)
-		acct := bc.Account(ctx.Receiver)
-		if acct == nil || acct.Sites == nil {
+		if ctx.sites == nil {
 			return nil
 		}
-		s, ok := acct.Sites.Lookup(site)
+		s, ok := ctx.sites.Lookup(site)
 		if !ok {
 			return failure.Newf(failure.Trap, "chain: unknown hook site %d in %s", site, ctx.Receiver)
 		}
@@ -137,12 +136,7 @@ func (bc *Blockchain) hookModule() exec.HostModule {
 		return nil
 	}
 	emitLabel := func(vm *exec.VM, kind trace.HookKind, fn uint32) {
-		if bc.Collector == nil {
-			return
-		}
-		ctx := ctxOf(vm)
-		acct := bc.Account(ctx.Receiver)
-		if acct == nil || acct.Sites == nil {
+		if bc.Collector == nil || ctxOf(vm).sites == nil {
 			return
 		}
 		bc.Collector.Emit(trace.Event{Kind: kind, Func: fn})
@@ -179,16 +173,15 @@ func (bc *Blockchain) hookModule() exec.HostModule {
 			if err := emit(vm, trace.HookCallPre, site, uint64(tblIdx)); err != nil {
 				return nil, err
 			}
-			ctx := ctxOf(vm)
-			acct := bc.Account(ctx.Receiver)
-			if acct == nil || acct.Sites == nil {
+			sites := ctxOf(vm).sites
+			if sites == nil {
 				return nil, nil
 			}
 			instrumented, ok := vm.Instance().TableGet(tblIdx)
 			if !ok {
 				return nil, nil // the call_indirect itself will trap
 			}
-			orig, ok := acct.Sites.OrigFunc(instrumented)
+			orig, ok := sites.OrigFunc(instrumented)
 			if !ok {
 				return nil, nil
 			}
@@ -237,12 +230,7 @@ func (bc *Blockchain) hookModule() exec.HostModule {
 }
 
 func emitParam(bc *Blockchain, vm *exec.VM, fn uint32, v uint64) {
-	if bc.Collector == nil {
-		return
-	}
-	ctx := ctxOf(vm)
-	acct := bc.Account(ctx.Receiver)
-	if acct == nil || acct.Sites == nil {
+	if bc.Collector == nil || ctxOf(vm).sites == nil {
 		return
 	}
 	bc.Collector.Emit(trace.Event{Kind: trace.HookParam, Func: fn, Operand: v})

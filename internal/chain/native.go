@@ -7,6 +7,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/eos"
 	"repro/internal/failure"
+	"repro/internal/leb128"
 )
 
 // accountsTable is the balance table name used by eosio.token.
@@ -118,30 +119,50 @@ type TransferArgs struct {
 	Memo     string
 }
 
-// DecodeTransfer parses the canonical transfer payload.
+// transferFixed is the size of the fixed-width head of a transfer
+// payload: from, to, and the quantity's amount and symbol, 8 bytes each.
+const transferFixed = 32
+
+// DecodeTransfer parses the canonical transfer payload: the fixed head
+// (little-endian), the LEB128 memo length, then the memo. Bytes past the
+// memo are ignored. A payload that layout cannot read goes to the generic
+// abi decoder for its error, so rejected payloads and their error text are
+// the ones abi.TransferABI gives; FuzzTransferCodec holds the two decoders
+// to the same accept/reject split.
 func DecodeTransfer(data []byte) (TransferArgs, error) {
-	d := abi.NewDecoder(abi.TransferABI(), data)
-	vals, err := d.DecodeAction(eos.ActionTransfer)
-	if err != nil {
-		return TransferArgs{}, fmt.Errorf("bad transfer payload: %w", err)
+	if len(data) >= transferFixed {
+		n, sz, err := leb128.Uint(data[transferFixed:], 32)
+		memo := transferFixed + sz
+		if end := memo + int(n); err == nil && end <= len(data) {
+			return TransferArgs{
+				From: eos.Name(binary.LittleEndian.Uint64(data[0:])),
+				To:   eos.Name(binary.LittleEndian.Uint64(data[8:])),
+				Quantity: eos.Asset{
+					Amount: int64(binary.LittleEndian.Uint64(data[16:])),
+					Symbol: eos.Symbol(binary.LittleEndian.Uint64(data[24:])),
+				},
+				Memo: string(data[memo:end]),
+			}, nil
+		}
 	}
-	return TransferArgs{
-		From:     vals[0].(eos.Name),
-		To:       vals[1].(eos.Name),
-		Quantity: vals[2].(eos.Asset),
-		Memo:     vals[3].(string),
-	}, nil
+	_, err := abi.NewDecoder(abi.TransferABI(), data).DecodeAction(eos.ActionTransfer)
+	return TransferArgs{}, fmt.Errorf("bad transfer payload: %w", err)
 }
 
-// EncodeTransfer serializes a transfer payload.
+// EncodeTransfer serializes a transfer payload in the layout
+// DecodeTransfer reads, into one buffer of the exact size.
 func EncodeTransfer(args TransferArgs) []byte {
-	enc := abi.NewEncoder(abi.TransferABI())
-	p, err := enc.EncodeAction(eos.ActionTransfer, []any{args.From, args.To, args.Quantity, args.Memo})
-	if err != nil {
-		// All four field types are statically correct; this is unreachable.
-		panic(err)
+	size := transferFixed + 1 + len(args.Memo)
+	for v := uint64(len(args.Memo)) >> 7; v != 0; v >>= 7 {
+		size++
 	}
-	return p
+	p := make([]byte, transferFixed, size)
+	binary.LittleEndian.PutUint64(p[0:], uint64(args.From))
+	binary.LittleEndian.PutUint64(p[8:], uint64(args.To))
+	binary.LittleEndian.PutUint64(p[16:], uint64(args.Quantity.Amount))
+	binary.LittleEndian.PutUint64(p[24:], uint64(args.Quantity.Symbol))
+	p = leb128.AppendUint(p, uint64(len(args.Memo)))
+	return append(p, args.Memo...)
 }
 
 type issueArgs struct {

@@ -533,18 +533,10 @@ func (f *Fuzzer) stepComposite(reader, writer eos.Name) error {
 			dep.Params[pi].U64 = readOp.Key
 		}
 	}
-	depRcpt, err := f.execute(payloadDirectAction, dep)
-	if err != nil {
+	if _, err := f.transact(payloadDirectAction, dep); err != nil {
 		return err
 	}
-	if err := f.observe(payloadDirectAction, dep, depRcpt); err != nil {
-		return err
-	}
-	rcpt, err := f.execute(payloadDirectAction, seed)
-	if err != nil {
-		return err
-	}
-	if err := f.observe(payloadDirectAction, seed, rcpt); err != nil {
+	if _, err := f.transact(payloadDirectAction, seed); err != nil {
 		return err
 	}
 	f.planner.CompositeFired()
@@ -572,11 +564,8 @@ func (f *Fuzzer) step(kind payloadKind, action eos.Name) error {
 		seed = Seed{Action: action, Params: randomParams(f.rng, []eos.Name{attackerName, victimName})}
 	}
 
-	rcpt, err := f.execute(kind, seed)
+	rcpt, err := f.transact(kind, seed)
 	if err != nil {
-		return err
-	}
-	if err := f.observe(kind, seed, rcpt); err != nil {
 		return err
 	}
 
@@ -602,19 +591,11 @@ func (f *Fuzzer) step(kind payloadKind, action eos.Name) error {
 				if pi, ok := f.dbg.KeyParam(tb, writer); ok && pi < len(dep.Params) {
 					dep.Params[pi].U64 = readOp.Key
 				}
-				depRcpt, err := f.execute(payloadDirectAction, dep)
-				if err != nil {
-					return err
-				}
-				if err := f.observe(payloadDirectAction, dep, depRcpt); err != nil {
+				if _, err := f.transact(payloadDirectAction, dep); err != nil {
 					return err
 				}
 				delete(f.lastRevertRead, action)
-				retry, err := f.execute(kind, seed)
-				if err != nil {
-					return err
-				}
-				if err := f.observe(kind, seed, retry); err != nil {
+				if _, err := f.transact(kind, seed); err != nil {
 					return err
 				}
 			}
@@ -623,8 +604,20 @@ func (f *Fuzzer) step(kind payloadKind, action eos.Name) error {
 	return nil
 }
 
-// execute materializes the payload transaction for the seed and pushes it.
-func (f *Fuzzer) execute(kind payloadKind, seed Seed) (*chain.Receipt, error) {
+// transact runs one transaction of the seed and feeds its receipt back,
+// with the seed's effective parameters computed once for both.
+func (f *Fuzzer) transact(kind payloadKind, seed Seed) (*chain.Receipt, error) {
+	params := f.effectiveParams(kind, seed)
+	rcpt, err := f.execute(kind, seed, params)
+	if err != nil {
+		return nil, err
+	}
+	return rcpt, f.observe(kind, seed, params, rcpt)
+}
+
+// execute materializes the payload transaction for the seed's effective
+// parameters and pushes it.
+func (f *Fuzzer) execute(kind payloadKind, seed Seed, params []symexec.Param) (*chain.Receipt, error) {
 	// Cancellation checkpoint: one step can push several transactions (the
 	// DBG dependency dance), so the per-iteration check in RunContext alone
 	// would let a timed-out job finish the whole dance first.
@@ -633,7 +626,6 @@ func (f *Fuzzer) execute(kind payloadKind, seed Seed) (*chain.Receipt, error) {
 			return nil, failure.Wrap(failure.Timeout, err)
 		}
 	}
-	params := f.effectiveParams(kind, seed)
 	data := chain.EncodeTransfer(chain.TransferArgs{
 		From:     eos.Name(params[0].U64),
 		To:       eos.Name(params[1].U64),
@@ -698,9 +690,10 @@ func clampAmount(a uint64) uint64 {
 }
 
 // observe updates the scanner, the coverage map, the DBG and the feedback
-// loop from one receipt. The only error source is the symbolic feedback
-// stage (an injected solver starvation aborting the pool).
-func (f *Fuzzer) observe(kind payloadKind, seed Seed, rcpt *chain.Receipt) error {
+// loop from one receipt of the seed run with the effective parameters
+// params, which it only reads. The only error source is the symbolic
+// feedback stage (an injected solver starvation aborting the pool).
+func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rcpt *chain.Receipt) error {
 	victimTraces := make([]trace.Trace, 0, len(rcpt.Traces))
 	for _, tr := range rcpt.Traces {
 		if tr.Contract == victimName {
@@ -760,7 +753,6 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, rcpt *chain.Receipt) error
 	// DBG update + transaction-dependency bookkeeping. Writes also teach
 	// the key-level index (paper §5 future work): which seed parameter the
 	// written primary key tracks.
-	params := f.effectiveParams(kind, seed)
 	var reads []chain.DBOp
 	for _, op := range rcpt.DBOps {
 		if op.Contract != victimName {

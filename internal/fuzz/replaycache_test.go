@@ -156,7 +156,8 @@ func recordReveal(t *testing.T) (*Fuzzer, Seed, []symexec.Param, *trace.Trace) {
 		{Type: "asset", Amount: 100000, Symbol: uint64(eos.EOSSymbol)},
 		{Type: "string", Str: []byte("memo")},
 	}}
-	rcpt, err := f.execute(payloadDirectAction, seed)
+	params := f.effectiveParams(payloadDirectAction, seed)
+	rcpt, err := f.execute(payloadDirectAction, seed, params)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
@@ -169,7 +170,7 @@ func recordReveal(t *testing.T) (*Fuzzer, Seed, []symexec.Param, *trace.Trace) {
 	if tr == nil {
 		t.Fatal("no victim trace")
 	}
-	return f, seed, f.effectiveParams(payloadDirectAction, seed), tr
+	return f, seed, params, tr
 }
 
 // TestReplayCacheNearMissesReplay: a trace differing from a cached one in a

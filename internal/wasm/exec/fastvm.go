@@ -8,8 +8,9 @@ import (
 
 // This file implements the fast execution core's dispatch loop: a dense
 // switch over the decoded irInstr stream of ir.go. Branch targets, block
-// arities and immediates are pre-resolved, the operand stack is a flat
-// pre-sized slice indexed by an integer, and fuel is charged per decoded
+// arities and immediates are pre-resolved, each frame's locals and operand
+// stack are pre-sized slices of one VM-owned stack (see pushFrame), the
+// operand stack is indexed by an integer, and fuel is charged per decoded
 // instruction (superinstructions carry the summed cost of the source
 // instructions they replace), so successful executions consume exactly
 // the fuel the reference tree-walker would.
@@ -47,13 +48,14 @@ func (vm *VM) fastCompiled(f *funcDef) *irFunc {
 	return vm.prog.funcs[f.index]
 }
 
+// fastExec runs fn in a frame on top of the VM's frame stack: its locals,
+// then its operand stack. The frame is cut back off on every exit, so a
+// returned result slice is a view of a dead frame that the next call
+// overwrites; callers copy it out first.
 func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64, err error) {
-	locals := make([]uint64, fn.nLocals)
-	copy(locals, args)
-	st := make([]uint64, fn.maxStack)
-	sp := 0
-
+	base := vm.height
 	defer func() {
+		vm.height = base
 		if r := recover(); r != nil {
 			// Mirrors the reference interpreter: residual malformed-body
 			// panics become host-error traps instead of crashing.
@@ -65,6 +67,12 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			err = &Trap{Kind: TrapHostError, FuncIndex: f.index, Wrapped: wrapped}
 		}
 	}()
+	frame := vm.pushFrame(fn.nLocals + fn.maxStack)
+	locals := frame[:fn.nLocals:fn.nLocals]
+	copy(locals, args)
+	clear(locals[len(args):])
+	st := frame[fn.nLocals:]
+	sp := 0
 
 	code := fn.code
 	obs := vm.fastObs
@@ -130,17 +138,13 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			if n == 0 || sp < n {
 				return nil, nil
 			}
-			out := make([]uint64, n)
-			copy(out, st[sp-n:sp])
-			return out, nil
+			return st[sp-n : sp : sp], nil
 
 		case irCall:
 			callee := &vm.inst.funcs[in.a]
 			n := len(callee.typ.Params)
-			cargs := make([]uint64, n)
-			copy(cargs, st[sp-n:sp])
 			sp -= n
-			res, cerr := vm.call(callee, cargs)
+			res, cerr := vm.call(callee, st[sp:sp+n:sp+n])
 			if cerr != nil {
 				return nil, cerr
 			}
@@ -162,10 +166,8 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 			}
 			callee := &vm.inst.funcs[fi]
 			n := len(callee.typ.Params)
-			cargs := make([]uint64, n)
-			copy(cargs, st[sp-n:sp])
 			sp -= n
-			res, cerr := vm.call(callee, cargs)
+			res, cerr := vm.call(callee, st[sp:sp+n:sp+n])
 			if cerr != nil {
 				return nil, cerr
 			}
@@ -363,6 +365,22 @@ func (vm *VM) fastExec(f *funcDef, fn *irFunc, args []uint64) (results []uint64,
 	}
 	// Unreachable: compiled bodies always end in irReturn.
 	return nil, nil
+}
+
+// pushFrame reserves n slots on top of the frame stack and returns them,
+// capped at n. A frame that does not fit replaces the stack with one at
+// least twice the size. Frames already running keep their views of the
+// old array until they return, and a new frame reads only its own slots
+// and the argument view it is handed, so the old contents are not
+// copied. MaxCallDepth bounds how many frames the stack ever holds.
+func (vm *VM) pushFrame(n int) []uint64 {
+	base := vm.height
+	top := base + n
+	if top > len(vm.stack) {
+		vm.stack = make([]uint64, max(2*len(vm.stack), top))
+	}
+	vm.height = top
+	return vm.stack[base:top:top]
 }
 
 // b2u converts a comparison result to the Wasm boolean encoding.

@@ -13,7 +13,9 @@ const PageSize = 65536
 
 // HostFunc is a native implementation of an imported function. Arguments
 // arrive in declaration order as raw 64-bit values (i32 zero-extended,
-// floats as IEEE bits); results are returned the same way.
+// floats as IEEE bits); results are returned the same way. args may be a
+// view of the caller's operand stack: it is valid only during the call,
+// and a host function must not keep it.
 type HostFunc func(vm *VM, args []uint64) ([]uint64, error)
 
 // HostModule is a named collection of host functions, keyed by import name.

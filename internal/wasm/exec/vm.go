@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/wasm"
 )
@@ -13,7 +14,7 @@ import (
 const DefaultFuel = 20_000_000
 
 // VM executes functions of a single Instance. A VM is not safe for
-// concurrent use; the chain layer creates one VM per applied action.
+// concurrent use; the chain layer keeps one VM per deployed account.
 type VM struct {
 	inst  *Instance
 	fuel  int64
@@ -24,6 +25,12 @@ type VM struct {
 	// and run on the tree-walker below.
 	prog    *irProgram
 	fastObs FastObserver
+	// stack holds the frames of the fast engine's active calls, and
+	// height is the part of it they use (see pushFrame). height is back
+	// at 0 after each top-level invocation; the array is kept for the
+	// next one.
+	stack  []uint64
+	height int
 
 	// Context carries host-defined state (the chain's apply context) that
 	// host functions retrieve via vm.Context.
@@ -60,7 +67,13 @@ func (vm *VM) InvokeIndex(idx uint32, args ...uint64) ([]uint64, error) {
 	if len(args) != len(f.typ.Params) {
 		return nil, fmt.Errorf("exec: %s wants %d args, got %d", vm.inst.FuncName(idx), len(f.typ.Params), len(args))
 	}
-	return vm.call(f, args)
+	res, err := vm.call(f, args)
+	if err != nil {
+		return nil, err
+	}
+	// A fast-engine result is a view of the frame stack, which the next
+	// call overwrites: no caller outside the VM may hold one.
+	return slices.Clone(res), nil
 }
 
 func (vm *VM) call(f *funcDef, args []uint64) ([]uint64, error) {
