@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // localcache.go enforces the memoization-layer invariant: cross-job caching
@@ -17,7 +18,7 @@ import (
 // package escapes that contract — its keys are unaudited, its lifetime is
 // unbounded, and nothing keeps faulted state out of it. So any map-typed
 // (or sync.Map) declaration that looks like a cache — the identifier or its
-// enclosing struct matches cache/memo — is flagged unless it carries a
+// enclosing struct has a cache/memo word — is flagged unless it carries a
 // `//wasai:localcache <reason>` directive asserting it is query- or
 // job-local (or is internal/memo's own sanctioned storage).
 
@@ -33,20 +34,59 @@ var localcachePackages = []string{
 	"internal/fuzz",
 	"internal/schedule",
 	"internal/symbolic",
+	"internal/symexec",
 	"internal/static",
 	"internal/memo",
 	"internal/wasm/exec",
 	"internal/wal",
 	"internal/store",
 	"internal/serve",
+	"internal/trace",
 	"cmd/wasai-serve",
 }
 
-// localcacheName matches identifiers that advertise cache semantics. `group`
-// is included because state shared across a group of queries (a solver
-// instance reused for several flips, say) is learned-clause reuse, which is
-// under the same audit regime as any cache.
-var localcacheName = regexp.MustCompile(`(?i)cache|memo|group`)
+// localcacheWord matches one word that advertises cache semantics, with
+// its inflections. `group` is included because state shared across a
+// group of queries (a solver instance reused for several flips, say) is
+// learned-clause reuse, which is under the same audit regime as any cache.
+var localcacheWord = regexp.MustCompile(`(?i)^(un)?(cach(e|es|ed|ing)|memo(s|i[sz](e|es|ed|ing|ation))?|group(s|ed|ing)?)$`)
+
+// isCacheName reports whether an identifier advertises cache semantics: a
+// whole word of it matches localcacheWord, so memoTable, solverMemo and
+// queryCache do and Memory does not.
+func isCacheName(name string) bool {
+	for _, w := range identWords(name) {
+		if localcacheWord.MatchString(w) {
+			return true
+		}
+	}
+	return false
+}
+
+// identWords splits a camelCase or snake_case identifier into its words:
+// a word ends before a non-letter, and before an upper-case letter that
+// follows a lower-case one or starts a capitalized word ("LRUCache" is
+// LRU and Cache).
+func identWords(name string) []string {
+	rs := []rune(name)
+	var words []string
+	start := 0
+	for i := 0; i <= len(rs); i++ {
+		if i == len(rs) || !unicode.IsLetter(rs[i]) {
+			if i > start {
+				words = append(words, string(rs[start:i]))
+			}
+			start = i + 1
+			continue
+		}
+		if i > start && unicode.IsUpper(rs[i]) &&
+			(unicode.IsLower(rs[i-1]) || i+1 < len(rs) && unicode.IsLower(rs[i+1])) {
+			words = append(words, string(rs[start:i]))
+			start = i
+		}
+	}
+	return words
+}
 
 // checkLocalCaches lints one package directory (non-test files only: test
 // doubles build throwaway caches legitimately).
@@ -88,7 +128,7 @@ func checkLocalCaches(dir string) ([]string, error) {
 				if !ok {
 					return true
 				}
-				structMatches := localcacheName.MatchString(n.Name.Name)
+				structMatches := isCacheName(n.Name.Name)
 				for _, fld := range st.Fields.List {
 					if isSolverStateType(fld.Type) {
 						// A struct field holding a SAT instance or blaster is
@@ -105,14 +145,14 @@ func checkLocalCaches(dir string) ([]string, error) {
 						continue
 					}
 					for _, name := range fld.Names {
-						if structMatches || localcacheName.MatchString(name.Name) {
+						if structMatches || isCacheName(name.Name) {
 							flag(name.Pos(), n.Name.Name+"."+name.Name)
 						}
 					}
 				}
 			case *ast.ValueSpec:
 				for i, name := range n.Names {
-					if !localcacheName.MatchString(name.Name) {
+					if !isCacheName(name.Name) {
 						continue
 					}
 					if isMapLikeType(n.Type) || (i < len(n.Values) && isMapValue(n.Values[i])) {
@@ -125,7 +165,7 @@ func checkLocalCaches(dir string) ([]string, error) {
 				}
 				for i, lhs := range n.Lhs {
 					id, ok := lhs.(*ast.Ident)
-					if !ok || !localcacheName.MatchString(id.Name) {
+					if !ok || !isCacheName(id.Name) {
 						continue
 					}
 					if i < len(n.Rhs) && isMapValue(n.Rhs[i]) {

@@ -29,8 +29,9 @@
 //     owns the determinism contract (canonical keys, Unknown never cached,
 //     faulted attempts bypassed). Map-typed (or sync.Map) declarations that
 //     advertise cache semantics — the identifier or its enclosing struct
-//     matches cache/memo — are forbidden in the pipeline packages unless
-//     annotated `//wasai:localcache <reason>` as query- or job-local.
+//     has a whole cache/memo/group word — are forbidden in the pipeline
+//     packages unless annotated `//wasai:localcache <reason>` as query- or
+//     job-local.
 //
 //   - raw errors: in the analysis-pipeline packages (internal/campaign,
 //     internal/fuzz, internal/symbolic, internal/chain) every constructed

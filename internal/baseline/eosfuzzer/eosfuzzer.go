@@ -157,12 +157,9 @@ func Run(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Result, error) {
 			fakeNotifPos = true
 		}
 
-		for _, tr := range rcpt.Traces {
-			if tr.Contract != victimName {
-				continue
-			}
-			for bk := range tr.Branches() {
-				coverage[bk] = struct{}{}
+		for i := range rcpt.Traces {
+			if rcpt.Traces[i].Contract == victimName {
+				rcpt.Traces[i].AddBranches(coverage)
 			}
 		}
 		out.CoverageOverTime = append(out.CoverageOverTime, CoveragePoint{Iteration: i + 1, Branches: len(coverage)})

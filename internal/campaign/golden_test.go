@@ -28,6 +28,10 @@ const (
 	// testJobs(12, 30, 21) with BaseSeed 5, uninterrupted.
 	goldenFindings12 = "596bba01d2bb35c19434fa755c20e943dca77b936e7499587c31e33d8494d021"
 	goldenState12    = "c6591284673a33ad217bad04203ddb9c1e54f531d538fc1a5cb95564aa6482e4"
+	// testJobs(18, 30, 42) with BaseSeed 7, the memo differential's
+	// population.
+	goldenFindings18 = "3b8ceb0dd98420e700713186409f517f8bc19abb389476edcdc77666c4e96625"
+	goldenState18    = "a906d595e9d166b907b4ae08b53ae33479bebb10231a972b8733e22c9a9f9f92"
 )
 
 func sha256Hex(s string) string {

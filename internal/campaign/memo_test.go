@@ -12,14 +12,12 @@ import (
 
 // TestMemoDifferentialWorkers is the cache layer's hard invariant: the
 // same batch run cache-off and cache-on produces byte-identical
-// FindingsDigest and StateDigest at 1, 4 and 8 workers — and the cache
-// actually absorbs work (non-zero hits, no extra solving).
+// FindingsDigest and StateDigest at 1, 4 and 8 workers, equal to the golden
+// digests — and the cache actually absorbs work (non-zero hits, no extra
+// solving).
 func TestMemoDifferentialWorkers(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 18, 30, 42) }
-	ref, err := Run(context.Background(), mk(), Config{Workers: 1, BaseSeed: 7})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
+	ref := requireGolden(t, runJobs(mk, Config{Workers: 1, BaseSeed: 7}), goldenFindings18, goldenState18)
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			for _, mode := range []memo.Mode{memo.ModeOff, memo.ModeOn} {
@@ -80,15 +78,12 @@ func TestMemoComposesWithTriageAndRetries(t *testing.T) {
 // TestMemoKillResumeDigestIdentity composes the cache with the journal:
 // a memoized campaign killed mid-flight and resumed (with a fresh cache —
 // ModeOn — and again with the process-shared cache) must reproduce the
-// uninterrupted memo-off digests.
+// uninterrupted memo-off digests, which equal the golden digests.
 func TestMemoKillResumeDigestIdentity(t *testing.T) {
 	const nJobs = 12
 	mk := func() []Job { return testJobs(t, nJobs, 30, 21) }
 	cfg := Config{Workers: 4, BaseSeed: 5}
-	ref, err := Run(context.Background(), mk(), cfg)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
+	ref := requireGolden(t, runJobs(mk, cfg), goldenFindings12, goldenState12)
 
 	for _, mode := range []memo.Mode{memo.ModeOn, memo.ModeShared} {
 		t.Run(string(mode), func(t *testing.T) {

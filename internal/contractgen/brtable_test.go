@@ -95,7 +95,7 @@ func TestBrTableFlipSteersArms(t *testing.T) {
 		{Type: "asset", Amount: 10000, Symbol: uint64(eos.EOSSymbol)},
 		{Type: "string", Str: []byte("x")},
 	}
-	symRes, err := symexec.Run(mod, tr, params, symexec.Options{
+	symRes, err := symexec.Run(symexec.NewReplayer(mod), tr, params, symexec.Options{
 		Globals: map[uint32]uint64{0: uint64(victim)},
 	})
 	if err != nil {

@@ -69,7 +69,7 @@ func TestDifferentialSymbolicVsConcrete(t *testing.T) {
 			t.Fatalf("round %d: no trace", round)
 		}
 
-		symRes, err := symexec.Run(mod, tr, params, symexec.Options{
+		symRes, err := symexec.Run(symexec.NewReplayer(mod), tr, params, symexec.Options{
 			Globals: map[uint32]uint64{0: uint64(victim)},
 		})
 		if err != nil {

@@ -181,11 +181,14 @@ type Fuzzer struct {
 	replayErr int
 	iter      int
 
-	// replays skips Symback replays whose effect is already known (see
-	// feedback); Finish drops it. skipHook, set only by tests, sees every
-	// skipped replay.
-	replays  replayCache
-	skipHook func(tr *trace.Trace, params []symexec.Param, cached *replayEntry)
+	// replayer runs every Symback replay of the job, and replays skips
+	// those whose effect is already known (see feedback); Finish drops
+	// both. skipHook, set only by tests, sees every skipped replay, and
+	// recycleHook every trace buffer handed back to the collector.
+	replayer    *symexec.Replayer
+	replays     replayCache
+	skipHook    func(tr *trace.Trace, params []symexec.Param, cached *replayEntry)
+	recycleHook func(events []trace.Event)
 
 	// Phase/adaptive state (see RunPhase): the iteration budget grows via
 	// ContinuePhase grants, the planner drives arm selection when
@@ -277,6 +280,7 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 		seeds:          newPool(),
 		coverage:       map[trace.BranchKey]struct{}{},
 		attempted:      map[symexec.BranchTarget]bool{},
+		replayer:       symexec.NewReplayer(mod),
 		replays:        replayCache{limit: maxReplayCacheEvents},
 		lastRevertRead: map[eos.Name]chain.DBOp{},
 	}
@@ -394,6 +398,9 @@ func (f *Fuzzer) phaseReport() PhaseReport {
 // round-robin exactly as before; Adaptive=on draws arms from the power
 // schedule and feeds coverage deltas back into arm and seed energies.
 func (f *Fuzzer) runLoop(ctx context.Context) error {
+	if f.finished {
+		return fmt.Errorf("fuzz: phase after Finish") //wasai:rawerr API-misuse guard, never reached by the drivers
+	}
 	f.ctx = ctx
 	defer func() { f.ctx = nil }()
 	window := f.cfg.SaturationWindow
@@ -450,9 +457,10 @@ func (f *Fuzzer) Finish(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("fuzz: Finish called twice") //wasai:rawerr API-misuse guard, never reached by the drivers
 	}
 	f.finished = true
-	// The replay cache is job-local, but a Fuzzer can outlive its job: the
-	// adaptive campaign holds every job's fuzzer until the whole batch ends.
-	f.replays = replayCache{}
+	// The replayer and the replay cache are job-local, but a Fuzzer can
+	// outlive its job: the adaptive campaign holds every job's fuzzer until
+	// the whole batch ends.
+	f.replayer, f.replays = nil, replayCache{}
 	// Close the change-point series with a final sample so the series
 	// records how long the campaign ran.
 	if n := len(f.covSeries); f.iter > 0 && (n == 0 || f.covSeries[n-1].Iteration != f.iter) {
@@ -692,7 +700,9 @@ func clampAmount(a uint64) uint64 {
 // observe updates the scanner, the coverage map, the DBG and the feedback
 // loop from one receipt of the seed run with the effective parameters
 // params, which it only reads. The only error source is the symbolic
-// feedback stage (an injected solver starvation aborting the pool).
+// feedback stage (an injected solver starvation aborting the pool). It
+// hands every target trace's event buffer back to the collector on
+// return: whatever keeps a trace beyond observe copies its events.
 func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rcpt *chain.Receipt) error {
 	victimTraces := make([]trace.Trace, 0, len(rcpt.Traces))
 	for _, tr := range rcpt.Traces {
@@ -700,6 +710,7 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 			victimTraces = append(victimTraces, tr)
 		}
 	}
+	defer f.recycle(victimTraces)
 
 	// Oracles (§3.5).
 	switch kind {
@@ -730,17 +741,18 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 	f.scan.Observe(victimTraces)
 	f.scan.ObserveCustom(victimTraces)
 	if f.cfg.KeepTraces {
-		f.kept = append(f.kept, victimTraces...)
+		for _, tr := range victimTraces {
+			tr.Events = slices.Clone(tr.Events)
+			f.kept = append(f.kept, tr)
+		}
 	}
 
 	// Coverage (RQ1 unit: distinct branches of the fuzzing target only).
-	before := len(f.coverage)
+	gained := 0
 	for i := range victimTraces {
-		for bk := range victimTraces[i].Branches() {
-			f.coverage[bk] = struct{}{}
-		}
+		gained += victimTraces[i].AddBranches(f.coverage)
 	}
-	if len(f.coverage) > before {
+	if gained > 0 {
 		// New territory invalidates earlier flip failures: the same target
 		// may now be reachable under a feasible prefix.
 		f.attempted = map[symexec.BranchTarget]bool{}
@@ -786,6 +798,17 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 		}
 	}
 	return nil
+}
+
+// recycle hands the traces' event buffers back to the campaign chain's
+// collector.
+func (f *Fuzzer) recycle(traces []trace.Trace) {
+	for _, tr := range traces {
+		if f.recycleHook != nil {
+			f.recycleHook(tr.Events)
+		}
+		f.bc.Collector.Recycle(tr.Events)
+	}
 }
 
 // feedback replays one trace and turns unexplored flipped branches into
@@ -858,9 +881,10 @@ func (f *Fuzzer) feedback(seed Seed, params []symexec.Param, tr *trace.Trace) er
 	return nil
 }
 
-// replay runs Symback over one trace of the target.
+// replay runs Symback over one trace of the target. The result is valid
+// until the next replay.
 func (f *Fuzzer) replay(tr *trace.Trace, params []symexec.Param) (*symexec.Result, error) {
-	return symexec.Run(f.mod, tr, params, symexec.Options{
+	return symexec.Run(f.replayer, tr, params, symexec.Options{
 		Globals:      map[uint32]uint64{0: uint64(victimName)},
 		OpaqueInputs: f.cfg.OpaqueInputs,
 	})

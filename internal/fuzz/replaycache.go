@@ -9,10 +9,10 @@ import (
 )
 
 // maxReplayCacheEvents bounds the trace events one job's replay cache keeps
-// alive, counted by the capacity of the referenced event slices: 32 bytes
-// per event, so 2 MiB. Across about 1,000 wild-population jobs the largest
-// retained about 5,000. A full cache stops inserting; a trace seen for the
-// first time after that replays as if there were no cache.
+// alive: 24 bytes per event, so 1.5 MiB. Across about 1,000
+// wild-population jobs the largest retained about 5,000. A full cache stops
+// inserting; a trace seen for the first time after that replays as if
+// there were no cache.
 const maxReplayCacheEvents = 1 << 16
 
 // replayCache remembers, for one job, what Symback made of each distinct
@@ -35,9 +35,9 @@ type replayCache struct {
 // in FlipQueries order.
 type replayEntry struct {
 	action eos.Name
-	// events references the replayed trace's event slice without copying.
-	// That is safe because the collector allocates a fresh slice per trace
-	// and nothing writes to it after TakeTraces.
+	// events is the entry's own copy of the replayed trace's events: the
+	// fuzzer hands a trace's buffer back to the collector once it has
+	// observed the trace.
 	events  []trace.Event
 	layout  []paramShape
 	err     error
@@ -80,14 +80,14 @@ func (e *replayEntry) matches(tr *trace.Trace, params []symexec.Param) bool {
 // insert records a replay's outcome unless that would take the cache past
 // its limit.
 func (c *replayCache) insert(fp uint64, tr *trace.Trace, params []symexec.Param, err error, queries []symexec.FlipQuery) {
-	n := cap(tr.Events)
+	n := len(tr.Events)
 	if c.retained+n > c.limit {
 		return
 	}
 	c.retained += n
 	e := replayEntry{
 		action: tr.Action,
-		events: tr.Events,
+		events: slices.Clone(tr.Events),
 		layout: make([]paramShape, len(params)),
 		err:    err,
 	}

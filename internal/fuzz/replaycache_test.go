@@ -257,7 +257,8 @@ func TestReplayCacheCountsCachedErrors(t *testing.T) {
 	}
 }
 
-// TestFinishDropsReplayCache: the cache lives for one job.
+// TestFinishDropsReplayCache: the cache and the replayer live for one job,
+// so a phase after Finish is refused.
 func TestFinishDropsReplayCache(t *testing.T) {
 	tc := replayCacheCorpus(t)[0]
 	f, err := New(tc.c.Module, tc.c.ABI, tc.cfg)
@@ -276,6 +277,12 @@ func TestFinishDropsReplayCache(t *testing.T) {
 	if f.replays.buckets != nil || f.replays.retained != 0 || f.replays.limit != 0 {
 		t.Errorf("Finish kept the replay cache: %d entries, %d events retained, limit %d",
 			f.replays.entries(), f.replays.retained, f.replays.limit)
+	}
+	if f.replayer != nil {
+		t.Error("Finish kept the replayer")
+	}
+	if _, err := f.ContinuePhase(context.Background(), 1); err == nil {
+		t.Error("a phase after Finish was not refused")
 	}
 }
 
@@ -310,5 +317,50 @@ func TestFullReplayCacheStopsInserting(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("a full replay cache changed the campaign result")
+	}
+}
+
+// TestRecycledTraceBuffersArePoisonProof overwrites every trace buffer the
+// fuzzer hands back to the collector, over its whole capacity, with junk
+// events. With KeepTraces on and off, each campaign must give the result
+// and the number of skipped replays of an unpoisoned run: nothing that
+// outlives observe may alias a recycled buffer.
+func TestRecycledTraceBuffersArePoisonProof(t *testing.T) {
+	junk := trace.Event{Kind: trace.HookCond, Op: wasm.OpBrIf, Func: 1 << 30, PC: -1, Operand: 0xdead}
+	poison := func(events []trace.Event) {
+		events = events[:cap(events)]
+		for i := range events {
+			events[i] = junk
+		}
+	}
+	recycled := 0
+	for _, tc := range replayCacheCorpus(t) {
+		for _, keep := range []bool{false, true} {
+			tc.cfg.KeepTraces = keep
+			run := func(poisoned bool) (*Result, int) {
+				skips := 0
+				_, res := runCase(t, tc, func(f *Fuzzer) {
+					f.skipHook = func(*trace.Trace, []symexec.Param, *replayEntry) { skips++ }
+					if poisoned {
+						f.recycleHook = func(events []trace.Event) {
+							recycled++
+							poison(events)
+						}
+					}
+				})
+				return res, skips
+			}
+			want, wantSkips := run(false)
+			got, gotSkips := run(true)
+			if gotSkips != wantSkips {
+				t.Errorf("%s keep=%v: %d skipped replays with poisoned buffers, %d without", tc.name, keep, gotSkips, wantSkips)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s keep=%v: poisoning recycled buffers changed the result", tc.name, keep)
+			}
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no trace buffer was recycled")
 	}
 }

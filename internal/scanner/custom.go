@@ -13,7 +13,10 @@ type CustomDetector interface {
 	// Name labels the detector in reports.
 	Name() string
 	// Observe inspects one trace of the fuzzing target. The APISets give
-	// the import-index view of the host functions.
+	// the import-index view of the host functions. tr, its events
+	// included, is valid only during the call: the fuzzer reuses the
+	// event buffer for later traces, so a detector that keeps events
+	// copies them.
 	Observe(tr *trace.Trace, apis APISets)
 	// Vulnerable reports the verdict accumulated so far.
 	Vulnerable() bool

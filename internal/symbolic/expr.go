@@ -88,7 +88,6 @@ type Expr struct {
 	// Hi and Lo parameterize KExtract.
 	Hi, Lo uint8
 
-	id uint32 // interning id, stable within a Ctx
 	// hash is the full structural content hash (variable names included)
 	// and shape the name-blind variant (every variable hashes as its
 	// width alone). Both are computed once at intern time from the
@@ -123,13 +122,21 @@ type exprKey struct {
 // pool gives each worker its own.
 type Ctx struct {
 	interned map[exprKey]*Expr
-	nextID   uint32
 	// fresh counts anonymous variables (symbolic load objects).
 	fresh int
 }
 
 // NewCtx returns an empty context.
 func NewCtx() *Ctx { return &Ctx{interned: map[exprKey]*Expr{}} }
+
+// Reset empties c for reuse, keeping the intern table's storage: it then
+// builds the same expressions, Fresh names included, that a new context
+// would. Expressions built before the reset stay readable but are no
+// longer interned, so they must not be combined with ones built after.
+func (c *Ctx) Reset() {
+	clear(c.interned)
+	c.fresh = 0
+}
 
 // NumNodes returns the number of distinct nodes interned.
 func (c *Ctx) NumNodes() int { return len(c.interned) }
@@ -140,10 +147,9 @@ func (c *Ctx) intern(k exprKey) *Expr {
 	}
 	e := &Expr{
 		Kind: k.kind, Width: k.width, Val: k.val, Name: k.name,
-		A: k.a, B: k.b, C: k.c, Hi: k.hi, Lo: k.lo, id: c.nextID,
+		A: k.a, B: k.b, C: k.c, Hi: k.hi, Lo: k.lo,
 	}
 	e.hash, e.shape = hashNode(e)
-	c.nextID++
 	c.interned[k] = e
 	return e
 }

@@ -20,7 +20,7 @@ type ctrlFrame struct {
 
 // execFunc symbolically executes one function of the original module,
 // consuming trace events for every non-deterministic step (Table 3).
-func (r *replayer) execFunc(fn uint32, locals []*symbolic.Expr) (results []*symbolic.Expr, err error) {
+func (r *Replayer) execFunc(fn uint32, locals []*symbolic.Expr) (results []*symbolic.Expr, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			results, err = nil, fmt.Errorf("symexec: func %d: %v", fn, rec)
@@ -309,7 +309,7 @@ func (r *replayer) execFunc(fn uint32, locals []*symbolic.Expr) (results []*symb
 }
 
 // expectLabel consumes a label event (function_begin/function_end) for fn.
-func (r *replayer) expectLabel(kind trace.HookKind, fn uint32) (trace.Event, error) {
+func (r *Replayer) expectLabel(kind trace.HookKind, fn uint32) (trace.Event, error) {
 	ev, err := r.next()
 	if err != nil {
 		return ev, err
@@ -322,7 +322,7 @@ func (r *replayer) expectLabel(kind trace.HookKind, fn uint32) (trace.Event, err
 }
 
 // doCall handles both host and local callees at call site (fn, pc).
-func (r *replayer) doCall(fn uint32, pc int, callee uint32, stack *[]*symbolic.Expr) error {
+func (r *Replayer) doCall(fn uint32, pc int, callee uint32, stack *[]*symbolic.Expr) error {
 	ft, err := r.mod.FuncTypeAt(callee)
 	if err != nil {
 		return err
@@ -366,8 +366,9 @@ func (r *replayer) doCall(fn uint32, pc int, callee uint32, stack *[]*symbolic.E
 	}
 	locals := make([]*symbolic.Expr, len(calleeFt.Params)+int(code.NumLocals()))
 	copy(locals, args)
+	zero := r.ctx.Const(0, 64)
 	for i := len(args); i < len(locals); i++ {
-		locals[i] = r.ctx.Const(0, 64)
+		locals[i] = zero
 	}
 	results, err := r.execFunc(callee, locals)
 	if err != nil {
@@ -382,7 +383,7 @@ func (r *replayer) doCall(fn uint32, pc int, callee uint32, stack *[]*symbolic.E
 }
 
 // hostName returns the import name of an imported function index.
-func (r *replayer) hostName(callee uint32) string {
+func (r *Replayer) hostName(callee uint32) string {
 	imp, ok := r.mod.ImportedFunc(int(callee))
 	if !ok {
 		return ""
@@ -392,7 +393,7 @@ func (r *replayer) hostName(callee uint32) string {
 
 // doHostCall models library-API calls: returns come from the call_post
 // event, and eosio_assert contributes an assertion conditional state.
-func (r *replayer) doHostCall(fn uint32, pc int, callee uint32, args []*symbolic.Expr, stack *[]*symbolic.Expr) error {
+func (r *Replayer) doHostCall(fn uint32, pc int, callee uint32, args []*symbolic.Expr, stack *[]*symbolic.Expr) error {
 	name := r.hostName(callee)
 	if name == "eosio_assert" && len(args) > 0 {
 		r.conds = append(r.conds, CondState{

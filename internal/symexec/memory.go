@@ -16,19 +16,89 @@ import (
 
 // Memory is the §3.4.1 memory model: a byte-granular array (the Z3
 // Store/Select analogue) addressed by the *concrete* addresses read from
-// runtime traces. Loads of bytes never stored resolve to symbolic load
-// objects ⟨a, s⟩ — fresh variables registered so that repeated loads of the
-// same unknown cell agree.
+// runtime traces. The action's inputs (§3.4.2) are laid out as regions
+// whose bytes are built on first load; loads of bytes neither stored nor
+// covered by an input resolve to symbolic load objects ⟨a, s⟩ — fresh
+// variables registered so that repeated loads of the same unknown cell
+// agree.
 type Memory struct {
 	ctx   *symbolic.Ctx
 	bytes map[uint32]*symbolic.Expr
+	// inputs are the input regions, oldest first. Every store is newer
+	// than every input, so a byte in bytes always wins over a region.
+	inputs []inputRegion
 	// loadObjects counts the symbolic load objects created (evaluation stat).
 	loadObjects int
+}
+
+// inputKind names what an input region holds.
+type inputKind uint8
+
+const (
+	inputAmount  inputKind = iota // an asset's amount half, p<i>.amount
+	inputSymbol                   // an asset's symbol half, p<i>.symbol
+	inputStrLen                   // a string's length byte (a constant)
+	inputStrByte                  // a string's content, p<i>[j] at base+j
+)
+
+// inputRegion is one input laid out at [base, base+size) (mod 2^32).
+type inputRegion struct {
+	base, size uint32
+	kind       inputKind
+	param      int
+	strLen     uint64 // the length an inputStrLen region holds
 }
 
 // NewMemory returns an empty memory model over ctx.
 func NewMemory(ctx *symbolic.Ctx) *Memory {
 	return &Memory{ctx: ctx, bytes: map[uint32]*symbolic.Expr{}}
+}
+
+// Reset empties the memory for the next replay, keeping its storage.
+func (m *Memory) Reset() {
+	clear(m.bytes)
+	m.inputs = m.inputs[:0]
+	m.loadObjects = 0
+}
+
+// inputAsset lays out asset parameter i at ptr: amount, then symbol.
+func (m *Memory) inputAsset(ptr uint32, i int) {
+	m.inputs = append(m.inputs,
+		inputRegion{base: ptr, size: 8, kind: inputAmount, param: i},
+		inputRegion{base: ptr + 8, size: 8, kind: inputSymbol, param: i})
+}
+
+// inputString lays out string parameter i of length n at ptr: one length
+// byte (concrete — mutation preserves length), then n content bytes.
+func (m *Memory) inputString(ptr uint32, i, n int) {
+	m.inputs = append(m.inputs, inputRegion{base: ptr, size: 1, kind: inputStrLen, param: i, strLen: uint64(n)})
+	if n > 0 {
+		m.inputs = append(m.inputs, inputRegion{base: ptr + 1, size: uint32(n), kind: inputStrByte, param: i})
+	}
+}
+
+// inputByte builds byte a from the newest input region covering it, or
+// returns nil when none does.
+func (m *Memory) inputByte(a uint32) *symbolic.Expr {
+	for i := len(m.inputs) - 1; i >= 0; i-- {
+		in := &m.inputs[i]
+		off := a - in.base
+		if off >= in.size {
+			continue
+		}
+		lo := uint8(8 * off)
+		switch in.kind {
+		case inputAmount:
+			return m.ctx.Extract(m.ctx.Var(VarAmount(in.param), 64), lo+7, lo)
+		case inputSymbol:
+			return m.ctx.Extract(m.ctx.Var(VarSymbol(in.param), 64), lo+7, lo)
+		case inputStrLen:
+			return m.ctx.Const(in.strLen, 8)
+		default:
+			return m.ctx.Var(VarStrByte(in.param, int(off)), 8)
+		}
+	}
+	return nil
 }
 
 // Store writes the low size bytes of val at addr (little-endian), splitting
@@ -46,17 +116,20 @@ func (m *Memory) StoreByte(addr uint32, b *symbolic.Expr) {
 }
 
 // Load reads size bytes at addr and concatenates them into one expression
-// of width 8*size. Unknown bytes become symbolic load objects.
+// of width 8*size. Bytes never stored come from the input covering them,
+// or else become symbolic load objects.
 func (m *Memory) Load(addr uint32, size int) *symbolic.Expr {
 	var out *symbolic.Expr
 	for i := size - 1; i >= 0; i-- {
 		a := addr + uint32(i)
 		b, ok := m.bytes[a]
 		if !ok {
-			// Symbolic load object ⟨a, 1⟩.
-			b = m.ctx.Var(fmt.Sprintf("mem[%d]", a), 8)
+			if b = m.inputByte(a); b == nil {
+				// Symbolic load object ⟨a, 1⟩.
+				b = m.ctx.Var(fmt.Sprintf("mem[%d]", a), 8)
+				m.loadObjects++
+			}
 			m.bytes[a] = b
-			m.loadObjects++
 		}
 		if out == nil {
 			out = b

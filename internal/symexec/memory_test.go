@@ -1,6 +1,8 @@
 package symexec
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -186,5 +188,73 @@ func TestApplyModelMapsVariables(t *testing.T) {
 	// Originals untouched.
 	if params[0].U64 != 1 || string(params[2].Str) != "abc" {
 		t.Error("ApplyModel mutated its input")
+	}
+}
+
+// eagerAsset and eagerString are the eager input layout the lazy input
+// regions replace, kept as their oracle: every input byte stored up front.
+func eagerAsset(m *Memory, ptr uint32, i int) {
+	m.Store(ptr, 8, m.ctx.Var(VarAmount(i), 64))
+	m.Store(ptr+8, 8, m.ctx.Var(VarSymbol(i), 64))
+}
+
+func eagerString(m *Memory, ptr uint32, i, n int) {
+	m.StoreByte(ptr, m.ctx.Const(uint64(n), 8))
+	for j := 0; j < n; j++ {
+		m.StoreByte(ptr+1+uint32(j), m.ctx.Var(VarStrByte(i, j), 8))
+	}
+}
+
+// TestLazyInputsMatchEagerLayout lays out random asset and string inputs,
+// with pointers drawn from a small window so regions overlap (and from the
+// top of the address space, so they wrap), then runs random stores and
+// loads on a lazy memory and on the eager oracle over one context. Every
+// load must return the identical node and the load-object counts must
+// agree. The lazy memory and the context are reused across layouts.
+func TestLazyInputsMatchEagerLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ctx := symbolic.NewCtx()
+	lazy := NewMemory(ctx)
+	for round := 0; round < 300; round++ {
+		ctx.Reset()
+		lazy.Reset()
+		eager := NewMemory(ctx)
+		base := uint32(0)
+		if round%4 == 3 {
+			base = ^uint32(0) - 40 // inputs and accesses wrap past 2^32
+		}
+		addr := func() uint32 { return base + uint32(rng.Intn(96)) }
+		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+			ptr := addr()
+			if rng.Intn(2) == 0 {
+				eagerAsset(eager, ptr, i)
+				lazy.inputAsset(ptr, i)
+			} else {
+				n := rng.Intn(40)
+				if rng.Intn(8) == 0 {
+					n = 250 + rng.Intn(20) // the length byte truncates
+				}
+				eagerString(eager, ptr, i, n)
+				lazy.inputString(ptr, i, n)
+			}
+		}
+		for op := 0; op < 120; op++ {
+			a, size := addr(), []int{1, 2, 4, 8}[rng.Intn(4)]
+			if rng.Intn(3) == 0 {
+				v := ctx.Const(rng.Uint64(), uint8(8*size))
+				if rng.Intn(2) == 0 {
+					v = ctx.Var(fmt.Sprintf("v%d", op), uint8(8*size))
+				}
+				eager.Store(a, size, v)
+				lazy.Store(a, size, v)
+				continue
+			}
+			if got, want := lazy.Load(a, size), eager.Load(a, size); got != want {
+				t.Fatalf("round %d: Load(%d, %d) = %s, eager layout gives %s", round, a, size, got, want)
+			}
+		}
+		if got, want := lazy.LoadObjects(), eager.LoadObjects(); got != want {
+			t.Fatalf("round %d: %d load objects, eager layout gives %d", round, got, want)
+		}
 	}
 }

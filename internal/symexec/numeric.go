@@ -12,7 +12,7 @@ import (
 // opaque fresh variables: EOSIO contracts do not branch on float inputs in
 // the workloads WASAI targets, and the paper's constraint language is
 // bitvectors.
-func (r *replayer) applyNumeric(op wasm.Opcode, stack *[]*symbolic.Expr, popW func(uint8) *symbolic.Expr) error {
+func (r *Replayer) applyNumeric(op wasm.Opcode, stack *[]*symbolic.Expr, popW func(uint8) *symbolic.Expr) error {
 	c := r.ctx
 	push := func(e *symbolic.Expr) { *stack = append(*stack, e) }
 	pushBool := func(b *symbolic.Expr, w uint8) { push(c.FromBool(b, 32)); _ = w }

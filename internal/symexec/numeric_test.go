@@ -11,7 +11,7 @@ import (
 // symbolic Table-3 semantics, returning the evaluated result.
 func applyOp(t *testing.T, op wasm.Opcode, operands ...uint64) uint64 {
 	t.Helper()
-	r := &replayer{ctx: symbolic.NewCtx()}
+	r := &Replayer{ctx: symbolic.NewCtx()}
 	var stack []*symbolic.Expr
 	width := uint8(64)
 	if opIs32(op) {
@@ -116,7 +116,7 @@ func TestApplyNumericSemantics(t *testing.T) {
 }
 
 func TestApplyNumericConversions(t *testing.T) {
-	r := &replayer{ctx: symbolic.NewCtx()}
+	r := &Replayer{ctx: symbolic.NewCtx()}
 	popW := func(stack *[]*symbolic.Expr) func(uint8) *symbolic.Expr {
 		return func(w uint8) *symbolic.Expr {
 			e := (*stack)[len(*stack)-1]

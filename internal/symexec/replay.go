@@ -53,7 +53,9 @@ func (cs *CondState) PathConstraint(ctx *symbolic.Ctx) *symbolic.Expr {
 	}
 }
 
-// Result is the outcome of one symbolic replay.
+// Result is the outcome of one symbolic replay. Its expressions belong to
+// the replayer's context and are valid until the next Run on the same
+// Replayer, which empties that context.
 type Result struct {
 	Ctx   *symbolic.Ctx
 	Conds []CondState
@@ -108,29 +110,51 @@ func VarAmount(i int) string     { return fmt.Sprintf("p%d.amount", i) }
 func VarSymbol(i int) string     { return fmt.Sprintf("p%d.symbol", i) }
 func VarStrByte(i, j int) string { return fmt.Sprintf("p%d[%d]", i, j) }
 
-// replayer walks the trace while symbolically executing the original
-// module per Table 3.
-type replayer struct {
-	ctx    *symbolic.Ctx
-	mod    *wasm.Module
-	mem    *Memory
-	events []trace.Event
-	pos    int
-
-	globals    []*symbolic.Expr
-	conds      []CondState
-	steps      int
-	maxSteps   int
+// Replayer walks traces of one module while symbolically executing the
+// original module per Table 3. It keeps its expression context and memory
+// model between runs, emptied at the start of each, and each function's
+// control metadata, which depends on the module only. A Replayer is not
+// safe for concurrent use.
+type Replayer struct {
+	ctx        *symbolic.Ctx
+	mod        *wasm.Module
+	mem        *Memory
 	numImports int
-
+	//wasai:localcache job-local: one per Replayer, which the fuzzer keeps
+	// for one job; keyed by function index, and a function's metadata is a
+	// pure function of its body.
 	metaCache map[uint32]wasm.ControlMeta
+
+	// Per-run state, set by Run.
+	events   []trace.Event
+	pos      int
+	globals  []*symbolic.Expr
+	conds    []CondState
+	steps    int
+	maxSteps int
+}
+
+// NewReplayer returns a replayer for traces of instrumented executions of
+// mod.
+func NewReplayer(mod *wasm.Module) *Replayer {
+	ctx := symbolic.NewCtx()
+	return &Replayer{
+		ctx:        ctx,
+		mod:        mod,
+		mem:        NewMemory(ctx),
+		numImports: mod.NumImportedFuncs(),
+		metaCache:  map[uint32]wasm.ControlMeta{},
+	}
 }
 
 // errTraceEnd signals orderly exhaustion of the trace (reverted runs).
 var errTraceEnd = errors.New("trace exhausted")
 
-// Run replays tr (from an instrumented execution of mod) symbolically,
-// seeding the action function's inputs per params and the §3.4.2 layout.
+// Run replays tr (from an instrumented execution of r's module)
+// symbolically, seeding the action function's inputs per params and the
+// §3.4.2 layout. It first empties r's context and memory, so its result is
+// the same on a reused replayer as on a new one, and the previous run's
+// Result expires.
 //
 // Run is engine-agnostic by construction: it never selects or touches an
 // exec engine, it only consumes the trace event stream. The instrumentation
@@ -138,20 +162,17 @@ var errTraceEnd = errors.New("trace exhausted")
 // decoded-IR engine (exec.NewFastVM) dispatch identically, so a trace —
 // and therefore this replay — is byte-identical whichever engine produced
 // it.
-func Run(mod *wasm.Module, tr *trace.Trace, params []Param, opts Options) (*Result, error) {
-	ctx := symbolic.NewCtx()
-	r := &replayer{
-		ctx:        ctx,
-		mod:        mod,
-		mem:        NewMemory(ctx),
-		events:     tr.Events,
-		maxSteps:   opts.MaxSteps,
-		numImports: mod.NumImportedFuncs(),
-		metaCache:  map[uint32]wasm.ControlMeta{},
-	}
+func Run(r *Replayer, tr *trace.Trace, params []Param, opts Options) (*Result, error) {
+	r.ctx.Reset()
+	r.mem.Reset()
+	r.events, r.pos = tr.Events, 0
+	r.conds, r.steps = nil, 0
+	r.maxSteps = opts.MaxSteps
 	if r.maxSteps == 0 {
 		r.maxSteps = 400_000
 	}
+	ctx, mod := r.ctx, r.mod
+	r.globals = r.globals[:0]
 	for _, g := range mod.Globals {
 		v := uint64(0)
 		if len(g.Init) == 1 {
@@ -206,7 +227,7 @@ func widthOf(t wasm.ValType) uint8 {
 	}
 }
 
-func (r *replayer) findActionDispatch() (uint32, bool) {
+func (r *Replayer) findActionDispatch() (uint32, bool) {
 	for _, ev := range r.events {
 		if ev.Kind == trace.HookCall && ev.Op == wasm.OpCallIndirect {
 			return uint32(ev.Operand), true
@@ -217,7 +238,7 @@ func (r *replayer) findActionDispatch() (uint32, bool) {
 
 // seekFunctionEntry advances past the events preceding the action
 // function's body and returns its concrete parameter values.
-func (r *replayer) seekFunctionEntry(fn uint32) ([]uint64, bool) {
+func (r *Replayer) seekFunctionEntry(fn uint32) ([]uint64, bool) {
 	for i, ev := range r.events {
 		if ev.Kind == trace.HookFuncBegin && ev.Func == fn {
 			var concrete []uint64
@@ -234,8 +255,9 @@ func (r *replayer) seekFunctionEntry(fn uint32) ([]uint64, bool) {
 
 // buildInputs realizes Table 2: value parameters become symbolic variables
 // directly; pointer parameters (asset, string) keep their concrete pointer
-// and the pointed-to memory is seeded with symbolic content.
-func (r *replayer) buildInputs(fn uint32, params []Param, concrete []uint64) ([]*symbolic.Expr, error) {
+// and the pointed-to memory is laid out as input regions, whose symbolic
+// content is built on first load.
+func (r *Replayer) buildInputs(fn uint32, params []Param, concrete []uint64) ([]*symbolic.Expr, error) {
 	ft, err := r.mod.FuncTypeAt(fn)
 	if err != nil {
 		return nil, err
@@ -246,8 +268,9 @@ func (r *replayer) buildInputs(fn uint32, params []Param, concrete []uint64) ([]
 	}
 	nLocals := len(ft.Params) + int(code.NumLocals())
 	locals := make([]*symbolic.Expr, nLocals)
+	zero := r.ctx.Const(0, 64)
 	for i := range locals {
-		locals[i] = r.ctx.Const(0, 64)
+		locals[i] = zero
 	}
 	// Parameter 0 is `self` (concrete); ρ_i maps to local i+1.
 	for i := 0; i < len(ft.Params) && i < len(concrete); i++ {
@@ -263,20 +286,12 @@ func (r *replayer) buildInputs(fn uint32, params []Param, concrete []uint64) ([]
 			if li >= len(concrete) {
 				return nil, fmt.Errorf("symexec: missing concrete pointer for param %d", i)
 			}
-			ptr := uint32(concrete[li])
-			r.mem.Store(ptr, 8, r.ctx.Var(VarAmount(i), 64))
-			r.mem.Store(ptr+8, 8, r.ctx.Var(VarSymbol(i), 64))
+			r.mem.inputAsset(uint32(concrete[li]), i)
 		case "string":
 			if li >= len(concrete) {
 				return nil, fmt.Errorf("symexec: missing concrete pointer for param %d", i)
 			}
-			ptr := uint32(concrete[li])
-			// First byte: length (concrete — mutation preserves length);
-			// following bytes: symbolic content.
-			r.mem.StoreByte(ptr, r.ctx.Const(uint64(len(p.Str)), 8))
-			for j := range p.Str {
-				r.mem.StoreByte(ptr+1+uint32(j), r.ctx.Var(VarStrByte(i, j), 8))
-			}
+			r.mem.inputString(uint32(concrete[li]), i, len(p.Str))
 		default: // name, uint64, int64 — value types
 			locals[li] = r.ctx.Var(VarName(i), widthOf(ft.Params[li]))
 		}
@@ -286,7 +301,7 @@ func (r *replayer) buildInputs(fn uint32, params []Param, concrete []uint64) ([]
 
 // --- event cursor ------------------------------------------------------------
 
-func (r *replayer) next() (trace.Event, error) {
+func (r *Replayer) next() (trace.Event, error) {
 	if r.pos >= len(r.events) {
 		return trace.Event{}, errTraceEnd
 	}
@@ -296,7 +311,7 @@ func (r *replayer) next() (trace.Event, error) {
 }
 
 // expect consumes the next event, requiring the given kind at the site.
-func (r *replayer) expect(kind trace.HookKind, fn uint32, pc int) (trace.Event, error) {
+func (r *Replayer) expect(kind trace.HookKind, fn uint32, pc int) (trace.Event, error) {
 	ev, err := r.next()
 	if err != nil {
 		return ev, err
@@ -308,7 +323,7 @@ func (r *replayer) expect(kind trace.HookKind, fn uint32, pc int) (trace.Event, 
 	return ev, nil
 }
 
-func (r *replayer) meta(fn uint32) (wasm.ControlMeta, error) {
+func (r *Replayer) meta(fn uint32) (wasm.ControlMeta, error) {
 	if m, ok := r.metaCache[fn]; ok {
 		return m, nil
 	}

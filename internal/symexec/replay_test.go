@@ -98,7 +98,7 @@ func (h *harness) replay(tr *trace.Trace, params []symexec.Param) *symexec.Resul
 	if tr == nil {
 		h.t.Fatal("no trace to replay")
 	}
-	res, err := symexec.Run(h.c.Module, tr, params, symexec.Options{
+	res, err := symexec.Run(symexec.NewReplayer(h.c.Module), tr, params, symexec.Options{
 		Globals: map[uint32]uint64{0: uint64(victim)},
 	})
 	if err != nil {
@@ -375,7 +375,7 @@ func TestReplayIsPureInParamValues(t *testing.T) {
 		canon       []symbolic.Canon
 	}
 	replay := func(params []symexec.Param) outcome {
-		res, err := symexec.Run(h.c.Module, tr, params, symexec.Options{
+		res, err := symexec.Run(symexec.NewReplayer(h.c.Module), tr, params, symexec.Options{
 			Globals: map[uint32]uint64{0: uint64(victim)},
 		})
 		if err != nil {

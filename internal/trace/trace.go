@@ -70,12 +70,13 @@ func (k HookKind) String() string {
 
 // Event is one trace record τ(i, p⃗): the executed instruction i (located by
 // function index and pc in the instrumented module) and the captured
-// operands p⃗.
+// operands p⃗. The two one-byte fields lead, so an Event packs into 24
+// bytes.
 type Event struct {
 	Kind HookKind
+	Op   wasm.Opcode // static opcode at the site (zero for begin/end labels)
 	Func uint32      // function index in the instrumented module
 	PC   int         // instruction index within the function body
-	Op   wasm.Opcode // static opcode at the site (zero for begin/end labels)
 	// Operand carries the captured runtime value: branch condition,
 	// concrete memory address, table index, callee function index, or a
 	// returned value, depending on Kind.
@@ -92,9 +93,14 @@ type Trace struct {
 // Collector accumulates traces during transaction execution and exports
 // them when an action finishes (the paper's finalize_trace point).
 type Collector struct {
-	current  []Event // the in-flight trace; its buffer is reused
+	current  []Event // the in-flight trace
 	finished []Trace
+	// spare holds buffers handed back by Recycle, at most maxSpare.
+	spare [][]Event
 }
+
+// maxSpare bounds the recycled buffers a collector holds.
+const maxSpare = 8
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
@@ -104,17 +110,32 @@ func (c *Collector) Emit(ev Event) { c.current = append(c.current, ev) }
 
 // Finalize closes the in-flight trace, tagging it with the contract and
 // action, and makes it available via Traces. Mirrors
-// apply_context::finalize_trace in Nodeos. The trace gets its own copy
-// of the events, at their exact size, and the collector never writes to
-// it again.
+// apply_context::finalize_trace in Nodeos. The trace takes the collector's
+// buffer, spare capacity included, and the collector never writes to it
+// again unless it comes back through Recycle; the next trace goes to a
+// recycled buffer, or to a new one of the same capacity.
 func (c *Collector) Finalize(contract, action eos.Name) {
 	if len(c.current) == 0 {
 		return
 	}
-	events := make([]Event, len(c.current))
-	copy(events, c.current)
-	c.finished = append(c.finished, Trace{Contract: contract, Action: action, Events: events})
-	c.current = c.current[:0]
+	c.finished = append(c.finished, Trace{Contract: contract, Action: action, Events: c.current})
+	if n := len(c.spare); n > 0 {
+		c.current = c.spare[n-1]
+		c.spare[n-1] = nil
+		c.spare = c.spare[:n-1]
+	} else {
+		c.current = make([]Event, 0, cap(c.current))
+	}
+}
+
+// Recycle hands a finished trace's event buffer back for a later trace to
+// overwrite. The caller must hold the only reference to the buffer: once
+// recycled, its contents are undefined. A collector keeps at most maxSpare
+// buffers and drops the rest.
+func (c *Collector) Recycle(events []Event) {
+	if cap(events) > 0 && len(c.spare) < maxSpare {
+		c.spare = append(c.spare, events[:0])
+	}
 }
 
 // Traces returns the finished traces collected so far.
@@ -243,6 +264,14 @@ func (t *Trace) Fingerprint() uint64 {
 // branch-coverage unit of RQ1.
 func (t *Trace) Branches() map[BranchKey]struct{} {
 	out := make(map[BranchKey]struct{})
+	t.AddBranches(out)
+	return out
+}
+
+// AddBranches adds the trace's branches (see Branches) to set and returns
+// how many of them set did not hold yet.
+func (t *Trace) AddBranches(set map[BranchKey]struct{}) int {
+	before := len(set)
 	for _, ev := range t.Events {
 		switch ev.Kind {
 		case HookCond:
@@ -250,13 +279,13 @@ func (t *Trace) Branches() map[BranchKey]struct{} {
 			if ev.Operand != 0 {
 				dir = 1
 			}
-			out[BranchKey{Func: ev.Func, PC: ev.PC, Dir: dir}] = struct{}{}
+			set[BranchKey{Func: ev.Func, PC: ev.PC, Dir: dir}] = struct{}{}
 		case HookBrTable:
 			// Each distinct selected arm counts as a distinct branch.
-			out[BranchKey{Func: ev.Func, PC: ev.PC, Dir: uint8(ev.Operand % 251)}] = struct{}{}
+			set[BranchKey{Func: ev.Func, PC: ev.PC, Dir: uint8(ev.Operand % 251)}] = struct{}{}
 		}
 	}
-	return out
+	return len(set) - before
 }
 
 // BranchKey identifies one conditional-branch direction at one site.

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/eos"
 	"repro/internal/wasm"
@@ -159,5 +162,111 @@ func TestFingerprint(t *testing.T) {
 	}
 	if (&Trace{Events: tr.Events[:len(tr.Events)-1]}).Fingerprint() == tr.Fingerprint() {
 		t.Error("dropping the last event kept the fingerprint")
+	}
+}
+
+// TestEventSize pins the packed layout: the one-byte Kind and Op lead, so
+// an Event is 24 bytes, not 32.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("Event is %d bytes, want 24", got)
+	}
+}
+
+// TestCollectorRecycleAllocatesNoEventBuffer: once a buffer comes back
+// through Recycle, a steady Emit/Finalize/TakeTraces/Recycle cycle makes
+// one allocation, the []Trace TakeTraces returns, and no event buffer.
+func TestCollectorRecycleAllocatesNoEventBuffer(t *testing.T) {
+	c := NewCollector()
+	cycle := func() {
+		for i := 0; i < 100; i++ {
+			c.Emit(Event{Kind: HookCond, Func: 1, PC: i, Operand: uint64(i)})
+		}
+		c.Finalize(eos.MustName("victim"), eos.ActionTransfer)
+		c.Recycle(c.TakeTraces()[0].Events)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 1 {
+		t.Errorf("a recycling cycle makes %v allocations, want 1 (the []Trace)", allocs)
+	}
+}
+
+// TestUnrecycledTraceIsNeverWritten: a trace nobody hands back keeps its
+// whole buffer, spare capacity included, while the collector finalizes and
+// recycles shorter and longer traces after it.
+func TestUnrecycledTraceIsNeverWritten(t *testing.T) {
+	c := NewCollector()
+	emit := func(n int, op uint64) {
+		for i := 0; i < n; i++ {
+			c.Emit(Event{Kind: HookMem, Func: 2, PC: i, Operand: op})
+		}
+		c.Finalize(eos.MustName("victim"), eos.ActionTransfer)
+	}
+	emit(40, 1)
+	emit(10, 2)
+	taken := c.TakeTraces()
+	kept := taken[1].Events
+	snapshot := slices.Clone(kept[:cap(kept)])
+	c.Recycle(taken[0].Events)
+	for round, n := range []int{5, 60, 10, 200, 1, 35} {
+		emit(n, uint64(100+round))
+		for _, tr := range c.TakeTraces() {
+			c.Recycle(tr.Events)
+		}
+	}
+	if !slices.Equal(kept[:cap(kept)], snapshot) {
+		t.Error("the collector wrote into a buffer nobody recycled")
+	}
+}
+
+// TestAddBranchesMatchesOracle checks AddBranches, and Branches built on
+// it, against the map-per-trace construction it replaced, on random traces
+// added to a set that already holds some of their branches.
+func TestAddBranchesMatchesOracle(t *testing.T) {
+	oracle := func(tr *Trace) map[BranchKey]struct{} {
+		out := make(map[BranchKey]struct{})
+		for _, ev := range tr.Events {
+			switch ev.Kind {
+			case HookCond:
+				dir := uint8(0)
+				if ev.Operand != 0 {
+					dir = 1
+				}
+				out[BranchKey{Func: ev.Func, PC: ev.PC, Dir: dir}] = struct{}{}
+			case HookBrTable:
+				out[BranchKey{Func: ev.Func, PC: ev.PC, Dir: uint8(ev.Operand % 251)}] = struct{}{}
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(9))
+	kinds := []HookKind{HookCond, HookBrTable, HookMem, HookCall, HookCmp}
+	for round := 0; round < 200; round++ {
+		tr := &Trace{}
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			tr.Events = append(tr.Events, Event{
+				Kind:    kinds[rng.Intn(len(kinds))],
+				Func:    uint32(rng.Intn(3)),
+				PC:      rng.Intn(8),
+				Operand: []uint64{0, 1, 2, 250, 251, 502, rng.Uint64()}[rng.Intn(7)],
+			})
+		}
+		want := oracle(tr)
+		if got := tr.Branches(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: Branches %v, oracle %v", round, got, want)
+		}
+		set := make(map[BranchKey]struct{})
+		for bk := range want {
+			if rng.Intn(2) == 0 {
+				set[bk] = struct{}{}
+			}
+		}
+		fresh := len(want) - len(set)
+		if got := tr.AddBranches(set); got != fresh {
+			t.Fatalf("round %d: AddBranches reports %d new branches, want %d", round, got, fresh)
+		}
+		if !reflect.DeepEqual(set, want) {
+			t.Fatalf("round %d: AddBranches left %v, want %v", round, set, want)
+		}
 	}
 }

@@ -101,7 +101,7 @@ func TestTraceFileRoundTripReplay(t *testing.T) {
 		params := []symexec.Param{
 			{Type: "name"}, {Type: "name"}, {Type: "asset"}, {Type: "string"},
 		}
-		res, err := symexec.Run(c.Module, &traces[i], params, symexec.Options{})
+		res, err := symexec.Run(symexec.NewReplayer(c.Module), &traces[i], params, symexec.Options{})
 		if err != nil {
 			continue // reverted-in-dispatcher traces have no action call
 		}
