@@ -28,9 +28,12 @@ const localcacheDirective = "//wasai:localcache"
 // localcachePackages are the pipeline packages under the memoization
 // contract, relative to the module root. internal/memo is included: its own
 // raw storage self-annotates, so a second unsanctioned cache inside the
-// cache package would still be caught.
+// cache package would still be caught. internal/chain is included because
+// a chain keeps per-apply state, its apply context and iterator cache,
+// alive across applies.
 var localcachePackages = []string{
 	"internal/campaign",
+	"internal/chain",
 	"internal/fuzz",
 	"internal/schedule",
 	"internal/symbolic",

@@ -1,6 +1,6 @@
 // Command wasai-lint is this repository's custom lint gate, run by `make
-// lint` (and so by `make verify`). It enforces two repo-specific invariants
-// that go vet cannot know about:
+// lint` (and so by `make verify`). It enforces five repo-specific
+// invariants that go vet cannot know about:
 //
 //   - nondeterminism: the deterministic core packages (corePackages below:
 //     internal/campaign, internal/chain, internal/fuzz, internal/symbolic,

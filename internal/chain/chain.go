@@ -120,6 +120,8 @@ func (r *Receipt) Reverted() bool { return r.Err != nil }
 // contracts and the adversary-oracle agent contracts).
 type NativeContract interface {
 	// ApplyNative handles apply(receiver=ctx.Receiver, code, action).
+	// ctx is valid only during the call: the chain reuses it for its
+	// next apply, so an implementation must not retain it or its Data.
 	ApplyNative(ctx *Context, code, action eos.Name) error
 }
 
@@ -183,6 +185,14 @@ type Blockchain struct {
 	// imports is the resolver every Wasm deployment on this chain links
 	// against, built once from the backend (see newResolver).
 	imports exec.Resolver
+
+	// apply is the context of every apply on the chain, reset by each
+	// one. One suffices because applies never nest: notifications and
+	// inline actions are dispatched by applyActionTree only after
+	// applyOne returns, and native contracts only queue them.
+	apply Context
+	// session is the open session, if any (see Begin).
+	session *Session
 }
 
 // New returns an EOSIO chain with the eosio.token system contract
@@ -205,6 +215,7 @@ func NewWithBackend(b Backend) *Blockchain {
 		backend:        b,
 	}
 	bc.imports = bc.newResolver()
+	bc.apply = Context{chain: bc, iters: NewIterCache(bc.db)}
 	b.Bootstrap(bc)
 	return bc
 }
@@ -222,6 +233,9 @@ func (bc *Blockchain) CreateAccount(name eos.Name) *Account {
 	}
 	a := &Account{Name: name}
 	bc.accounts[name] = a
+	if bc.session != nil {
+		bc.session.created = append(bc.session.created, name)
+	}
 	return a
 }
 
@@ -260,6 +274,7 @@ func (bc *Blockchain) DeployModule(name eos.Name, cm *exec.CompiledModule, contr
 	if err != nil {
 		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
 	}
+	bc.saveCode(a)
 	a.Module = cm.Module()
 	a.vm = exec.NewFastVM(inst)
 	a.ABI = contractABI
@@ -271,6 +286,7 @@ func (bc *Blockchain) DeployModule(name eos.Name, cm *exec.CompiledModule, contr
 // DeployNative installs a Go-implemented contract on an account.
 func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI *abi.ABI) {
 	a := bc.CreateAccount(name)
+	bc.saveCode(a)
 	a.Native = n
 	a.ABI = contractABI
 	a.Module = nil
@@ -281,9 +297,74 @@ func (bc *Blockchain) DeployNative(name eos.Name, n NativeContract, contractABI 
 // contracts have their latest versions replaced with empty files).
 func (bc *Blockchain) UnDeploy(name eos.Name) {
 	if a, ok := bc.accounts[name]; ok {
+		bc.saveCode(a)
 		a.Module = nil
 		a.vm = nil
 		a.Native = nil
+	}
+}
+
+// Session is a chain session opened by Begin. It records what the chain
+// must restore on Rollback beyond the database, whose journal covers
+// itself: the block state at Begin, the accounts created since, and the
+// code of each account a deploy changed, as it was before the change.
+type Session struct {
+	bc          *Blockchain
+	blockNum    uint32
+	blockPrefix uint32
+	timeUs      uint64
+	created     []eos.Name
+	code        []codeRecord
+}
+
+// codeRecord is an account's code fields before a deploy changed them.
+type codeRecord struct {
+	acct  *Account
+	prior Account
+}
+
+// Begin opens a session: Rollback then returns the chain to its state at
+// Begin, however many transactions, committed or reverted, ran in
+// between. A transaction pushed in the session commits into it, so its
+// writes stay journaled until Rollback. Accounts created, deploys,
+// undeploys and block advances are undone too. The deferred queue needs
+// no record: PushTransaction always leaves it empty. The exported knobs
+// (Collector, Fuel, Faults, HoldBlocks, MaxInlineDepth) are the caller's
+// and are left as they are. Sessions do not nest: Begin panics while one
+// is open.
+func (bc *Blockchain) Begin() *Session {
+	if bc.session != nil {
+		panic("chain: Begin with a session open")
+	}
+	bc.db.begin()
+	bc.session = &Session{bc: bc, blockNum: bc.blockNum, blockPrefix: bc.blockPrefix, timeUs: bc.timeUs}
+	return bc.session
+}
+
+// Rollback undoes everything the chain did since Begin and closes the
+// session.
+func (s *Session) Rollback() {
+	bc := s.bc
+	if bc.session != s {
+		panic("chain: Rollback of a closed session")
+	}
+	bc.db.rollback()
+	for i := len(s.code) - 1; i >= 0; i-- {
+		*s.code[i].acct = s.code[i].prior
+	}
+	for _, name := range s.created {
+		delete(bc.accounts, name)
+	}
+	bc.blockNum, bc.blockPrefix, bc.timeUs = s.blockNum, s.blockPrefix, s.timeUs
+	bc.session = nil
+}
+
+// saveCode records a's code fields before a deploy changes them, so the
+// open session's Rollback can put them back. Records are restored
+// newest first, which leaves each account as it was at Begin.
+func (bc *Blockchain) saveCode(a *Account) {
+	if bc.session != nil {
+		bc.session.code = append(bc.session.code, codeRecord{acct: a, prior: *a})
 	}
 }
 
@@ -372,7 +453,7 @@ func (bc *Blockchain) applyActionTree(txctx *txContext, act Action, depth int) e
 		return failure.Newf(failure.Trap, "chain: inline action depth %d exceeds limit", depth)
 	}
 	// Primary apply: receiver == code == act.Account.
-	notified, inline, err := bc.applyOne(txctx, act.Account, act.Account, act, depth)
+	notified, inline, err := bc.applyOne(txctx, act.Account, act.Account, act, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -384,12 +465,9 @@ func (bc *Blockchain) applyActionTree(txctx *txContext, act Action, depth int) e
 			continue
 		}
 		seen[r] = true
-		moreNotified, moreInline, err := bc.applyOne(txctx, r, act.Account, act, depth)
-		if err != nil {
+		if notified, inline, err = bc.applyOne(txctx, r, act.Account, act, notified, inline); err != nil {
 			return err
 		}
-		notified = append(notified, moreNotified...)
-		inline = append(inline, moreInline...)
 	}
 	// Inline actions, depth-first.
 	for _, in := range inline {
@@ -401,15 +479,17 @@ func (bc *Blockchain) applyActionTree(txctx *txContext, act Action, depth int) e
 	return nil
 }
 
-// applyOne runs a single apply(receiver, code, action) and returns the
-// accounts to notify and the inline actions dispatched.
-func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Action, depth int) (notified []eos.Name, inline []Action, err error) {
+// applyOne runs a single apply(receiver, code, action) and appends the
+// accounts it notifies and the inline actions it sends to notified and
+// inline, which the caller owns: the apply context is the chain's and the
+// next apply resets it.
+func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Action, notified []eos.Name, inline []Action) ([]eos.Name, []Action, error) {
 	acct, ok := bc.accounts[receiver]
 	if !ok {
 		if receiver == code {
-			return nil, nil, failure.Newf(failure.Trap, "chain: unknown account %s", receiver)
+			return notified, inline, failure.Newf(failure.Trap, "chain: unknown account %s", receiver)
 		}
-		return nil, nil, nil // notifying a non-existent account is a no-op
+		return notified, inline, nil // notifying a non-existent account is a no-op
 	}
 	txctx.receipt.Executed = append(txctx.receipt.Executed, ExecutedAction{
 		Receiver: receiver, Code: code, Action: act.Name, Notified: receiver != code,
@@ -417,22 +497,12 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	if !acct.HasCode() {
 		// Accounts without code accept actions and notifications as no-ops
 		// (plain wallet accounts), but the receipt still records them.
-		return nil, nil, nil
+		return notified, inline, nil
 	}
 
-	ctx := &Context{
-		chain:    bc,
-		tx:       txctx,
-		Receiver: receiver,
-		Code:     code,
-		Action:   act.Name,
-		Data:     act.Data,
-		Auth:     act.Authorization,
-		sites:    acct.Sites,
-		iters:    NewIterCache(bc.db),
-		depth:    depth,
-	}
-
+	ctx := &bc.apply
+	ctx.reset(txctx, receiver, code, &act, acct.Sites)
+	var err error
 	if acct.Native != nil {
 		err = acct.Native.ApplyNative(ctx, code, act.Name)
 	} else {
@@ -446,12 +516,14 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	}
 	txctx.receipt.Console += ctx.console.String()
 	txctx.receipt.DBOps = append(txctx.receipt.DBOps, ctx.dbOps...)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		txctx.receipt.DeferredSent = append(txctx.receipt.DeferredSent, ctx.deferred...)
+		bc.deferred = append(bc.deferred, ctx.deferred...)
+		notified = append(notified, ctx.notified...)
+		inline = append(inline, ctx.inline...)
 	}
-	txctx.receipt.DeferredSent = append(txctx.receipt.DeferredSent, ctx.deferred...)
-	bc.deferred = append(bc.deferred, ctx.deferred...)
-	return ctx.notified, ctx.inline, nil
+	ctx.release()
+	return notified, inline, err
 }
 
 // applyWasm runs the account's apply entry on its deployment's VM, with

@@ -9,7 +9,8 @@ import (
 
 // Context is the apply context of one contract execution: the state the
 // EOSVM host APIs observe and mutate while apply(receiver, code, action)
-// runs.
+// runs. A chain owns one Context and resets it at every apply, so a
+// Context is valid only while its apply runs.
 type Context struct {
 	chain *Blockchain
 	tx    *txContext
@@ -37,7 +38,31 @@ type Context struct {
 	inline   []Action
 	deferred []Transaction
 	dbOps    []DBOp
-	depth    int
+}
+
+// reset prepares the context for one apply. The buffers and the iterator
+// cache keep their storage from earlier applies; their contents, and
+// every iterator handle, start over.
+func (ctx *Context) reset(tx *txContext, receiver, code eos.Name, act *Action, sites *instrument.SiteTable) {
+	ctx.tx = tx
+	ctx.Receiver, ctx.Code, ctx.Action = receiver, code, act.Name
+	ctx.Data, ctx.Auth = act.Data, act.Authorization
+	ctx.sites = sites
+	ctx.iters.reset()
+	ctx.notified = ctx.notified[:0]
+	ctx.inline = ctx.inline[:0]
+	ctx.deferred = ctx.deferred[:0]
+	ctx.dbOps = ctx.dbOps[:0]
+}
+
+// release drops what the context points to in the finished apply's
+// transaction and receipt, once its results are copied out: the chain
+// outlives both.
+func (ctx *Context) release() {
+	ctx.tx, ctx.Data, ctx.Auth = nil, nil, nil
+	ctx.console.Reset()
+	clear(ctx.inline)
+	clear(ctx.deferred)
 }
 
 // Chain returns the blockchain this context executes on.

@@ -69,10 +69,12 @@ func (t *table) remove(id uint64) {
 type Database struct {
 	tables map[tableKey]*table
 
-	// undo is the journal of the open session: one entry per write, in
-	// write order. Only writes made while journaling is set are recorded.
-	undo       []undoEntry
-	journaling bool
+	// undo is the journal of the open sessions: one entry per write, in
+	// write order. marks holds one index into undo per open session,
+	// innermost last: the journal length when that session began. Writes
+	// made while no session is open are not recorded.
+	undo  []undoEntry
+	marks []int
 }
 
 // undoEntry records what one write replaced: a table the write created,
@@ -88,27 +90,33 @@ type undoEntry struct {
 // NewDatabase returns an empty database.
 func NewDatabase() *Database { return &Database{tables: map[tableKey]*table{}} }
 
-// begin opens the session a transaction's writes are journaled in.
-// One session per transaction suffices: inline actions and notifications
-// revert with their transaction, and deferred transactions run only after
-// it commits, each in a session of its own.
+// begin opens a session nested in the open ones, if any. Sessions close
+// in LIFO order: a transaction's session always closes before
+// runTransaction returns, so it nests inside a chain session (see
+// Blockchain.Begin) and never around one.
 func (db *Database) begin() {
-	db.journaling = true
-	db.undo = db.undo[:0]
+	db.marks = append(db.marks, len(db.undo))
 }
 
-// commit closes the session, keeping its writes.
+// commit closes the innermost session, keeping its writes. Inside an
+// outer session its entries stay in the journal, so the outer session
+// can still undo them; only the outermost commit truncates the journal,
+// and zeroes it so that it pins no replaced rows.
 func (db *Database) commit() {
-	clear(db.undo) // pin no replaced rows
-	db.undo = db.undo[:0]
-	db.journaling = false
+	db.marks = db.marks[:len(db.marks)-1]
+	if len(db.marks) == 0 {
+		clear(db.undo)
+		db.undo = db.undo[:0]
+	}
 }
 
-// rollback closes the session, undoing its writes in reverse order. A
-// table the session created is deleted, not left empty: db_find_i64 and
-// friends tell an absent table (-1) from an empty one (an end handle).
+// rollback closes the innermost session, undoing its writes in reverse
+// order. A table the session created is deleted, not left empty:
+// db_find_i64 and friends tell an absent table (-1) from an empty one (an
+// end handle).
 func (db *Database) rollback() {
-	for i := len(db.undo) - 1; i >= 0; i-- {
+	mark := db.marks[len(db.marks)-1]
+	for i := len(db.undo) - 1; i >= mark; i-- {
 		e := &db.undo[i]
 		switch {
 		case e.created:
@@ -119,11 +127,13 @@ func (db *Database) rollback() {
 			db.tables[e.key].remove(e.id)
 		}
 	}
-	db.commit() // keep the restored state
+	clear(db.undo[mark:])
+	db.undo = db.undo[:mark]
+	db.marks = db.marks[:len(db.marks)-1]
 }
 
 func (db *Database) record(e undoEntry) {
-	if db.journaling {
+	if len(db.marks) > 0 {
 		db.undo = append(db.undo, e)
 	}
 }
@@ -225,19 +235,30 @@ type iterRef struct {
 	end bool
 }
 
-// IterCache implements EOSIO's per-apply-context iterator handles: positive
-// handles index live rows, negative handles (-2-tableIdx) are per-table end
-// sentinels, and -1 is "not found" where the table itself does not exist.
+// IterCache implements EOSIO's per-apply-context iterator handles:
+// handles from 0 up index live rows (refs[handle]), handles from -2 down
+// are per-table end sentinels (tables[-2-handle]), and -1 is "not found"
+// where the table itself does not exist. A chain keeps one cache and
+// resets it at every apply, so no handle outlives the apply that made it.
 type IterCache struct {
 	db     *Database
-	refs   []iterRef  // positive handles: refs[handle-1]... (see mapping below)
+	refs   []iterRef  // row iterators, by handle
 	tables []tableKey // end-iterator table registry
+	// tindex maps a table to its index in tables.
+	//wasai:localcache apply-local, reset at every apply
 	tindex map[tableKey]int
 }
 
 // NewIterCache returns an iterator cache over db.
 func NewIterCache(db *Database) *IterCache {
 	return &IterCache{db: db, tindex: map[tableKey]int{}}
+}
+
+// reset invalidates every handle, keeping the cache's storage.
+func (ic *IterCache) reset() {
+	ic.refs = ic.refs[:0]
+	ic.tables = ic.tables[:0]
+	clear(ic.tindex)
 }
 
 const iterNotFound = -1
@@ -353,8 +374,8 @@ func (ic *IterCache) Remove(handle int32) error {
 	return nil
 }
 
-// Next implements db_next_i64; it returns the next iterator and writes the
-// next primary key through idOut when non-nil.
+// Next implements db_next_i64: it returns the next iterator and its
+// primary key (0 at the end or on a bad handle).
 func (ic *IterCache) Next(handle int32) (int32, uint64) {
 	r, ok := ic.ref(handle)
 	if !ok {

@@ -222,3 +222,276 @@ func TestActionError(t *testing.T) {
 		t.Errorf("class of the injected fault %v, want %v", got, want)
 	}
 }
+
+// scriptWriter is a native contract driven by its payload, four bytes a
+// command: op, scope, primary key, value. It writes rows of its table
+// through both the Database and the iterator API, sends inline actions,
+// schedules deferred transactions and fails on request, so random
+// payloads cover every way a transaction changes the chain.
+type scriptWriter struct {
+	table eos.Name
+}
+
+// scriptWriter ops.
+const (
+	opStore byte = iota
+	opIterWrite
+	opRemove
+	opInline
+	opDeferred
+	opFail
+	numOps
+)
+
+func (w *scriptWriter) ApplyNative(ctx *Context, code, action eos.Name) error {
+	if code != ctx.Receiver {
+		return nil
+	}
+	for p := ctx.Data; len(p) >= 4; p = p[4:] {
+		scope, id, val := eos.Name(1+p[1]), uint64(p[2]), []byte{p[3]}
+		switch p[0] % numOps {
+		case opStore:
+			ctx.chain.db.Store(ctx.Receiver, scope, w.table, id, val)
+		case opIterWrite:
+			if it := ctx.Iters().Find(ctx.Receiver, scope, w.table, id); it >= 0 {
+				if err := ctx.Iters().Update(it, val); err != nil {
+					return err
+				}
+			} else {
+				ctx.Iters().Store(scope, w.table, ctx.Receiver, id, val)
+			}
+		case opRemove:
+			ctx.chain.db.Remove(ctx.Receiver, scope, w.table, id)
+		case opInline:
+			ctx.SendInline(Action{Account: ctx.Receiver, Name: action, Authorization: ctx.Auth,
+				Data: []byte{opStore, p[1], p[2] + 1, p[3]}})
+		case opDeferred:
+			// An odd value makes the deferred transaction fail after
+			// its write.
+			ctx.SendDeferred(Transaction{Actions: []Action{{Account: ctx.Receiver, Name: action, Authorization: ctx.Auth,
+				Data: []byte{opStore, p[1], p[2] + 2, p[3], opFail * (p[3] & 1), p[1], p[2], p[3]}}}})
+		case opFail:
+			return &AssertError{Msg: "scripted failure"}
+		}
+	}
+	return nil
+}
+
+// chainState is what a session's Rollback must restore: the account set
+// with each account's code fields, every table and each contract's dump,
+// and the block state.
+type chainState struct {
+	accounts    map[eos.Name]Account
+	tables      map[tableKey]*table
+	dumps       map[eos.Name]string
+	blockNum    uint32
+	blockPrefix uint32
+	timeUs      uint64
+}
+
+func captureState(bc *Blockchain) chainState {
+	s := chainState{
+		accounts:    map[eos.Name]Account{},
+		tables:      deepCopy(bc.db),
+		dumps:       map[eos.Name]string{},
+		blockNum:    bc.blockNum,
+		blockPrefix: bc.blockPrefix,
+		timeUs:      bc.timeUs,
+	}
+	for name, a := range bc.accounts {
+		s.accounts[name] = *a
+	}
+	for k := range bc.db.tables {
+		s.dumps[k.Code] = bc.db.DumpContract(k.Code)
+	}
+	return s
+}
+
+// diffState describes the first difference between two chain states.
+func diffState(got, want chainState) string {
+	if len(got.accounts) != len(want.accounts) {
+		return fmt.Sprintf("%d accounts, want %d", len(got.accounts), len(want.accounts))
+	}
+	for name, w := range want.accounts {
+		if g, ok := got.accounts[name]; !ok || g != w {
+			return fmt.Sprintf("account %s: %+v, want %+v", name, g, w)
+		}
+	}
+	if d := diffTables(got.tables, want.tables); d != "" {
+		return d
+	}
+	if len(got.dumps) != len(want.dumps) {
+		return fmt.Sprintf("%d contracts with tables, want %d", len(got.dumps), len(want.dumps))
+	}
+	for code, w := range want.dumps {
+		if got.dumps[code] != w {
+			return fmt.Sprintf("DumpContract(%s):\n%s\nwant:\n%s", code, got.dumps[code], w)
+		}
+	}
+	if got.blockNum != want.blockNum || got.blockPrefix != want.blockPrefix || got.timeUs != want.timeUs {
+		return fmt.Sprintf("block %d/%x/%d, want %d/%x/%d",
+			got.blockNum, got.blockPrefix, got.timeUs, want.blockNum, want.blockPrefix, want.timeUs)
+	}
+	return ""
+}
+
+// TestSessionRollbackMatchesDeepCopy runs random multi-transaction
+// sequences in a session and rolls it back. The sequences mix committed
+// and reverted transactions, writes that create tables, parents that
+// schedule deferred transactions (some of which fail), accounts created
+// in the session with native and Wasm code deployed onto them, and
+// deploys and undeploys on accounts that existed at Begin. After
+// Rollback the chain must equal a deep copy taken before Begin: accounts
+// and their code, tables, dumps and block state. Between sessions the
+// base state moves on through transactions committed outside any
+// session, and the journal must then be empty and pin nothing.
+func TestSessionRollbackMatchesDeepCopy(t *testing.T) {
+	for _, hold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("HoldBlocks=%v", hold), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			writer, apitest := eos.MustName("writer"), eos.MustName("apitest")
+			rows := eos.MustName("rows")
+			wasmCode := mustCompile(t, hostAPIModule(t))
+			bc := New()
+			bc.HoldBlocks = hold
+			bc.CreateAccount(alice)
+			bc.CreateAccount(bob)
+			bc.DeployNative(writer, &scriptWriter{table: rows}, nil)
+			if err := bc.DeployModule(apitest, wasmCode, nil, nil); err != nil {
+				t.Fatalf("deploy: %v", err)
+			}
+			if err := bc.Issue(eos.TokenContract, alice, eos.MustAsset("1000.0000 EOS")); err != nil {
+				t.Fatalf("issue: %v", err)
+			}
+			existing := []eos.Name{alice, bob, writer, apitest}
+			writerTx := func() Transaction {
+				var tx Transaction
+				for a := rng.Intn(2); a >= 0; a-- {
+					data := make([]byte, 4*(1+rng.Intn(4)))
+					for i := range data {
+						data[i] = byte(rng.Intn(6))
+					}
+					// Fail rarely, so most writer transactions commit.
+					for i := 0; i < len(data); i += 4 {
+						if data[i] == opFail && rng.Intn(3) > 0 {
+							data[i] = opStore
+						}
+					}
+					tx.Actions = append(tx.Actions, Action{Account: writer, Name: eos.MustName("go"), Authorization: auth(writer), Data: data})
+				}
+				return tx
+			}
+			var reverted, committed, deferred, grown int
+			for session := 0; session < 200; session++ {
+				before := captureState(bc)
+				s := bc.Begin()
+				created := []eos.Name{}
+				for step := rng.Intn(12); step > 0; step-- {
+					var tx Transaction
+					switch rng.Intn(10) {
+					case 0, 1, 2, 3:
+						tx = writerTx()
+					case 4:
+						to := append(existing[:2:2], created...)[rng.Intn(2+len(created))]
+						tx = Transaction{Actions: []Action{transferAction(eos.TokenContract, alice, to,
+							fmt.Sprintf("%d.0000 EOS", 1+rng.Intn(600)), "")}}
+					case 5:
+						tx = Transaction{Actions: []Action{{Account: apitest, Name: eos.MustName("go"), Authorization: auth(alice)}}}
+					case 6:
+						name := eos.Name(uint64(eos.MustName("new")) + uint64(session*16+step))
+						bc.CreateAccount(name)
+						created = append(created, name)
+						continue
+					case 7:
+						if len(created) == 0 {
+							continue
+						}
+						target := created[rng.Intn(len(created))]
+						if rng.Intn(2) == 0 {
+							bc.DeployNative(target, &scriptWriter{table: rows}, nil)
+							tx = Transaction{Actions: []Action{{Account: target, Name: eos.MustName("go"), Authorization: auth(target),
+								Data: []byte{opStore, 0, 1, 2}}}}
+						} else {
+							if err := bc.DeployModule(target, wasmCode, nil, nil); err != nil {
+								t.Fatalf("deploy: %v", err)
+							}
+							tx = Transaction{Actions: []Action{{Account: target, Name: eos.MustName("go"), Authorization: auth(alice)}}}
+						}
+					case 8:
+						target := existing[rng.Intn(len(existing))]
+						switch rng.Intn(3) {
+						case 0:
+							bc.DeployNative(target, &ForwarderAgent{Victim: writer}, nil)
+						case 1:
+							bc.UnDeploy(target)
+						default:
+							if err := bc.DeployModule(target, wasmCode, nil, nil); err != nil {
+								t.Fatalf("deploy: %v", err)
+							}
+						}
+						continue
+					default:
+						bc.DB().Store(writer, eos.Name(9), rows, uint64(rng.Intn(4)), []byte{byte(step)})
+						continue
+					}
+					rcpt := bc.PushTransaction(tx)
+					if rcpt.Err != nil {
+						reverted++
+					} else {
+						committed++
+					}
+					deferred += len(rcpt.DeferredSent)
+					if len(bc.deferred) != 0 {
+						t.Fatalf("session %d: %d deferred transactions left queued after a push", session, len(bc.deferred))
+					}
+				}
+				if len(bc.db.tables) > len(before.tables) {
+					grown++
+				}
+				s.Rollback()
+				if d := diffState(captureState(bc), before); d != "" {
+					t.Fatalf("session %d: after Rollback, %s", session, d)
+				}
+				// Move the base state on outside any session.
+				if rcpt := bc.PushTransaction(writerTx()); rcpt.Err == nil {
+					committed++
+				} else {
+					reverted++
+				}
+				if len(bc.db.marks) != 0 || len(bc.db.undo) != 0 {
+					t.Fatalf("session %d: %d marks and %d journal entries left with no session open", session, len(bc.db.marks), len(bc.db.undo))
+				}
+				for _, e := range bc.db.undo[:cap(bc.db.undo)] {
+					if e.prior != nil {
+						t.Fatalf("session %d: closed journal still pins row %x", session, e.prior)
+					}
+				}
+			}
+			// The sequences must have exercised both outcomes, the
+			// deferred path and tables created in a session.
+			if reverted == 0 || committed == 0 || deferred == 0 || grown == 0 {
+				t.Fatalf("%d reverted, %d committed, %d deferred, %d sessions created tables: the random sequences miss a case",
+					reverted, committed, deferred, grown)
+			}
+		})
+	}
+}
+
+// TestSessionsDoNotNest: Begin with a session open, and Rollback of a
+// closed session, are bugs, so both panic.
+func TestSessionsDoNotNest(t *testing.T) {
+	bc := New()
+	s := bc.Begin()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Begin in a session", func() { bc.Begin() })
+	s.Rollback()
+	mustPanic("a second Rollback", s.Rollback)
+}

@@ -240,7 +240,7 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	if cfg.Static != nil && cfg.SolverConflicts > 0 {
 		cfg.SolverConflicts = cfg.Static.SolverBudget(cfg.SolverConflicts)
 	}
-	// Compile the instrumented module once: the campaign chain and every
+	// Compile the instrumented module once: the campaign chain and the
 	// scenario chain link their instances from it.
 	compiled, err := exec.Compile(res.Module)
 	if err != nil {
@@ -449,9 +449,9 @@ func (f *Fuzzer) runLoop(ctx context.Context) error {
 }
 
 // Finish runs the on-chain-data scenario pass (WACANA's multi-transaction
-// families: deterministic replays on fresh chains, feeding only the
-// scenario oracles — the concolic loop's verdicts are already final) and
-// assembles the campaign Result.
+// families: deterministic scripts, each replayed from the pristine state
+// of one scenario chain, feeding only the scenario oracles — the concolic
+// loop's verdicts are already final) and assembles the campaign Result.
 func (f *Fuzzer) Finish(ctx context.Context) (*Result, error) {
 	if f.finished {
 		return nil, fmt.Errorf("fuzz: Finish called twice") //wasai:rawerr API-misuse guard, never reached by the drivers

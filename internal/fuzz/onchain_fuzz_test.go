@@ -30,9 +30,9 @@ func onchainActions() []eos.Name {
 //   - the scenario verdicts (StateTamper, OrderDep, CrossContract) are a
 //     pure function of the module. The second run mutates the concolic
 //     loop's transaction sequence — different seed, different budget — and
-//     the scenario classes must not move: their scripts replay on fresh
-//     chains with held blocks, so nothing the main loop executes may leak
-//     into them.
+//     the scenario classes must not move: their scripts replay on a
+//     chain of their own, each from its pristine state with held blocks,
+//     so nothing the main loop executes may leak into them.
 func FuzzOnChainOracles(f *testing.F) {
 	for _, data := range onchainCorpus(f) {
 		f.Add(data, uint64(0))

@@ -4,12 +4,12 @@ package fuzz
 // multi-transaction oracle families of WACANA (state tampering across
 // transactions, transaction-ordering dependence, inter-contract call
 // exposure) that no single-trace oracle of §3.5 can observe. Each
-// scenario replays a small, fixed transaction script on a fresh chain —
-// no randomness, no coupling to the concolic loop's chain state — so the
-// verdicts are a pure function of the target module and invariant under
-// worker count, memoization, and the fast-VM flag. Evidence feeds only
-// the scanner's scenario observers; the five trace-oracle verdicts are
-// untouched by construction.
+// scenario replays a small, fixed transaction script from the same
+// pristine chain state — no randomness, no coupling to the concolic
+// loop's chain state — so the verdicts are a pure function of the target
+// module and invariant under worker count and memoization. Evidence
+// feeds only the scanner's scenario observers; the five trace-oracle
+// verdicts are untouched by construction.
 
 import (
 	"context"
@@ -35,38 +35,68 @@ var (
 // bodies rather than their entry asserts.
 const scnAmount = 500_000
 
+// scnOrders are the two submission orders of the ordering-dependence
+// scenario.
+var scnOrders = [2][2]eos.Name{{scnOwnerName, scnRivalName}, {scnRivalName, scnOwnerName}}
+
 // runScenarios executes the three scenario families for every
 // non-transfer ABI action. Transfer stays out: notification handling of
-// token transfers is the Fake EOS / Fake Notif oracle domain.
+// token transfers is the Fake EOS / Fake Notif oracle domain. Every
+// script runs on one scenario chain, built on the first scenario so a
+// transfer-only contract builds none, in a session that is rolled back
+// once the script's observer returns: each script starts from the state
+// a fresh scenario chain would have. The chain is local to the pass, so
+// it dies with it even though the adaptive campaign keeps the Fuzzer.
 func (f *Fuzzer) runScenarios(ctx context.Context) error {
-	acts := make([]eos.Name, 0, len(f.actions))
-	for _, a := range f.actions {
-		if a != eos.ActionTransfer {
-			acts = append(acts, a)
+	var bc *chain.Blockchain
+	for _, act := range f.actions {
+		if act == eos.ActionTransfer {
+			continue
 		}
-	}
-	for _, act := range acts {
 		if err := ctx.Err(); err != nil {
 			return failure.Wrap(failure.Timeout, err)
 		}
-		if err := f.scenarioStateTamper(act); err != nil {
-			return err
+		if bc == nil {
+			var err error
+			if bc, err = f.scenarioChain(); err != nil {
+				return err
+			}
 		}
-		if err := f.scenarioOrderDep(act); err != nil {
-			return err
+		// State tampering: the attacker-signed replay of the owner's
+		// payload (see tamperScript).
+		playScenario(bc, act, tamperScript, func(r []*chain.Receipt) {
+			f.scan.ObserveTamperPair(act, r[0], r[1])
+		})
+		// Ordering dependence: two independently authorized submissions
+		// in both orders, compared by their canonical outcomes.
+		var outcomes [2]string
+		for i, order := range scnOrders {
+			playScenario(bc, act, orderScript(order), func(r []*chain.Receipt) {
+				outcomes[i] = orderOutcome(bc, order, r)
+			})
 		}
-		if err := f.scenarioCrossContract(act); err != nil {
-			return err
-		}
+		f.scan.ObserveOrderOutcome(outcomes[0], outcomes[1])
+		// Inter-contract calls: the victim's traces while a malicious
+		// notifier relays the action (see crossContractScript).
+		playScenario(bc, act, crossContractScript, func(r []*chain.Receipt) {
+			var victimTraces []trace.Trace
+			for _, tr := range r[0].Traces {
+				if tr.Contract == victimName {
+					victimTraces = append(victimTraces, tr)
+				}
+			}
+			f.scan.ObserveNotifyContext(victimTraces)
+		})
 	}
 	return nil
 }
 
-// scenarioChain builds a fresh chain mirroring the campaign deployment:
-// same backend personality, same instrumented victim module, funded
-// victim. Block state is held so tapos-derived randomness is identical
-// across replays and permutations — without this, ordinary block
-// advancement would masquerade as ordering dependence.
+// scenarioChain builds the pristine scenario chain, mirroring the
+// campaign deployment: same backend personality, same instrumented
+// victim module, funded victim. Block state is held so tapos-derived
+// randomness is identical across replays and permutations — without
+// this, ordinary block advancement would masquerade as ordering
+// dependence.
 func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
 	bc := chain.NewWithBackend(f.bc.Backend())
 	bc.Collector = trace.NewCollector()
@@ -79,6 +109,26 @@ func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
 	}
 	bc.HoldBlocks = true
 	return bc, nil
+}
+
+// scenarioScript pushes one scenario's fixed transaction sequence for
+// act and returns the receipts in push order.
+type scenarioScript func(bc *chain.Blockchain, act eos.Name) []*chain.Receipt
+
+// playScenario runs script in a session of the scenario chain bc, hands
+// its receipts to observe, and then rolls the session back. No scenario
+// observer keeps a trace, so the receipts' trace buffers go back to the
+// chain's collector for the next script to fill.
+func playScenario(bc *chain.Blockchain, act eos.Name, script scenarioScript, observe func([]*chain.Receipt)) {
+	s := bc.Begin()
+	rcpts := script(bc, act)
+	observe(rcpts)
+	s.Rollback()
+	for _, r := range rcpts {
+		for _, tr := range r.Traces {
+			bc.Collector.Recycle(tr.Events)
+		}
+	}
 }
 
 // scnPush pushes one action with the shared transfer-shaped payload
@@ -100,75 +150,49 @@ func scnPush(bc *chain.Blockchain, account, action, from, signer eos.Name) *chai
 	}}})
 }
 
-// scenarioStateTamper replays one action twice with the identical
-// payload: first signed by the payload owner, then by the attacker. The
-// scanner flags the contract when the attacker-signed replay commits and
+// tamperScript replays one action twice with the identical payload:
+// first signed by the payload owner, then by the attacker. The scanner
+// flags the contract when the attacker-signed replay commits and
 // overwrites a row the owner-signed transaction established.
-func (f *Fuzzer) scenarioStateTamper(act eos.Name) error {
-	bc, err := f.scenarioChain()
-	if err != nil {
-		return err
+func tamperScript(bc *chain.Blockchain, act eos.Name) []*chain.Receipt {
+	return []*chain.Receipt{
+		scnPush(bc, victimName, act, scnOwnerName, scnOwnerName),
+		scnPush(bc, victimName, act, scnOwnerName, attackerName),
 	}
-	owner := scnPush(bc, victimName, act, scnOwnerName, scnOwnerName)
-	tamper := scnPush(bc, victimName, act, scnOwnerName, attackerName)
-	f.scan.ObserveTamperPair(act, owner, tamper)
-	return nil
 }
 
-// scenarioOrderDep runs two independently authorized submissions of one
-// action in both orders, each on its own fresh chain, and hands the
-// canonical outcomes to the scanner.
-func (f *Fuzzer) scenarioOrderDep(act eos.Name) error {
-	forward, err := f.orderOutcome(act, [2]eos.Name{scnOwnerName, scnRivalName})
-	if err != nil {
-		return err
+// orderScript returns the script that submits the action once per actor,
+// in the given order, each actor signing its own payload.
+func orderScript(order [2]eos.Name) scenarioScript {
+	return func(bc *chain.Blockchain, act eos.Name) []*chain.Receipt {
+		return []*chain.Receipt{
+			scnPush(bc, victimName, act, order[0], order[0]),
+			scnPush(bc, victimName, act, order[1], order[1]),
+		}
 	}
-	reversed, err := f.orderOutcome(act, [2]eos.Name{scnRivalName, scnOwnerName})
-	if err != nil {
-		return err
-	}
-	f.scan.ObserveOrderOutcome(forward, reversed)
-	return nil
 }
 
-// orderOutcome executes the actor sequence and renders the outcome
-// canonically: per-actor commit results under fixed labels (so the
-// encoding is a function of who succeeded, not of submission position)
-// followed by the victim's database dump.
-func (f *Fuzzer) orderOutcome(act eos.Name, order [2]eos.Name) (string, error) {
-	bc, err := f.scenarioChain()
-	if err != nil {
-		return "", err
-	}
+// orderOutcome renders the outcome of orderScript(order) canonically:
+// per-actor commit results under fixed labels (so the encoding is a
+// function of who succeeded, not of submission position) followed by the
+// victim's database dump.
+func orderOutcome(bc *chain.Blockchain, order [2]eos.Name, rcpts []*chain.Receipt) string {
 	committed := map[eos.Name]bool{}
-	for _, actor := range order {
-		rcpt := scnPush(bc, victimName, act, actor, actor)
-		committed[actor] = !rcpt.Reverted()
+	for i, actor := range order {
+		committed[actor] = !rcpts[i].Reverted()
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s=%v %s=%v\n",
 		scnOwnerName, committed[scnOwnerName], scnRivalName, committed[scnRivalName])
 	sb.WriteString(bc.DB().DumpContract(victimName))
-	return sb.String(), nil
+	return sb.String()
 }
 
-// scenarioCrossContract pushes the action at a malicious notifier that
+// crossContractScript pushes the action at a malicious notifier that
 // forwards every self-addressed action to the victim, so the victim's
 // apply runs with code naming the foreign contract. The scanner flags
 // the contract if it sends an inline action in that context.
-func (f *Fuzzer) scenarioCrossContract(act eos.Name) error {
-	bc, err := f.scenarioChain()
-	if err != nil {
-		return err
-	}
+func crossContractScript(bc *chain.Blockchain, act eos.Name) []*chain.Receipt {
 	bc.DeployNative(scnEvilName, &chain.EvilNotifier{Victim: victimName}, nil)
-	rcpt := scnPush(bc, scnEvilName, act, attackerName, attackerName)
-	var victimTraces []trace.Trace
-	for _, tr := range rcpt.Traces {
-		if tr.Contract == victimName {
-			victimTraces = append(victimTraces, tr)
-		}
-	}
-	f.scan.ObserveNotifyContext(victimTraces)
-	return nil
+	return []*chain.Receipt{scnPush(bc, scnEvilName, act, attackerName, attackerName)}
 }

@@ -243,9 +243,9 @@ func (s *Scanner) ObserveTamperPair(action eos.Name, owner, tamper *chain.Receip
 }
 
 // ObserveOrderOutcome feeds the transaction-ordering scenario: the same
-// set of independently authorized transactions executed in two orders on
-// two fresh chains (with block state frozen, so tapos cannot masquerade
-// as ordering dependence). Each outcome string canonically encodes the
+// set of independently authorized transactions executed in two orders,
+// each from the same pristine chain state (with block state frozen, so
+// tapos cannot masquerade as ordering dependence). Each outcome string canonically encodes the
 // per-actor commit results and the victim's database dump; any divergence
 // means the contract's observable behaviour depends on transaction order.
 func (s *Scanner) ObserveOrderOutcome(forward, reversed string) {
