@@ -9,13 +9,16 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Repo-specific lint gate: go vet, wasai-lint (nondeterminism sources in
-# the deterministic core packages, scanner/static oracle parity, error
-# classification, ad-hoc caches outside internal/memo), and gofmt over the
-# tracked Go files (git ls-files, so the gitignored .bench_build/ is not
-# walked), failing when it lists any file.
+# Repo-specific lint gate: go vet, go vet of the benchmark module (perfbench
+# is its own module, so `./...` never compiles it, yet it imports the
+# packages above), wasai-lint (nondeterminism sources in the deterministic
+# core packages, scanner/static oracle parity, error classification,
+# ad-hoc caches outside internal/memo), and gofmt over the tracked Go files
+# (git ls-files, so the gitignored .bench_build/ is not walked), failing
+# when it lists any file.
 lint:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 	$(GO) run ./cmd/wasai-lint
 	@files=$$(git ls-files '*.go') && out=$$(gofmt -l $$files) && \
 		if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
@@ -72,10 +75,14 @@ bench-baseline:
 fastvm:
 	$(GO) run ./cmd/wasai-bench -exp fastvm
 
-# Verdict-engine gate: zero soundness violations in both directions against
-# a dynamic campaign, ≥30% of the wild (contract, class) verdict matrix
-# decided statically, and byte-identical findings digests with verdicts off
-# and on at 1/4/8 workers (exit status is the assertion).
+# Verdict-engine gate, the gate of the campaign's only pre-execution
+# triage: zero soundness violations in both directions against a dynamic
+# campaign, every dynamic finding carrying its static candidate flag and
+# every static negative proven negative by absint, ≥30% of the wild
+# (contract, class) verdict matrix decided statically, at least the 4
+# trivial contracts skipped at every worker count, and byte-identical
+# findings digests with verdicts off and on at 1/4/8 workers (exit status
+# is the assertion).
 verdict:
 	$(GO) run ./cmd/wasai-bench -exp verdict
 

@@ -9,13 +9,11 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/campaign"
-	"repro/internal/contractgen"
 	"repro/internal/failure"
 	"repro/internal/fuzz"
 	"repro/internal/memo"
 	"repro/internal/scanner"
 	"repro/internal/schedule"
-	"repro/internal/store"
 	"repro/internal/wasm"
 )
 
@@ -51,10 +49,9 @@ type BatchConfig struct {
 	JobTimeout time.Duration
 	// QueueDepth bounds Campaign.Submit backpressure (0 = 2×Workers).
 	QueueDepth int
-	// StaticTriage pre-analyzes each contract's bytecode and answers
-	// provably-clean jobs without fuzzing them (BatchResult.Skipped).
-	// Findings are unchanged — only statically-impossible work is skipped —
-	// and jobs with custom detectors or trace capture are never skipped.
+	// Deprecated: use Verdicts. StaticTriage turns Verdicts on: the
+	// verdict engine proves negative every class a false static candidate
+	// flag rules out, so it skips every job the flags alone would skip.
 	StaticTriage bool
 	// Journal, when non-empty, checkpoints every completed contract to an
 	// append-only JSONL file at this path, so a killed batch can be
@@ -70,7 +67,7 @@ type BatchConfig struct {
 	MaxAttempts int
 	// Memo is inherited from Config ("off"/"on"/"shared"): in a batch it
 	// additionally reuses decoded modules across content-identical
-	// submissions and static reports across triage, and with "shared" the
+	// submissions and verdict reports across jobs, and with "shared" the
 	// cache outlives the batch (resumed or repeated batches start warm).
 	// Findings are unchanged at any worker count; only duplicated work is
 	// skipped. (The field itself lives on the embedded Config.)
@@ -93,8 +90,9 @@ type BatchResult struct {
 	// Err is the job's failure: decode/setup errors, the per-job deadline
 	// (context.DeadlineExceeded), or a recovered panic.
 	Err error
-	// Skipped marks a contract answered by static triage without fuzzing
-	// (the Report carries the all-clean verdict a campaign would produce).
+	// Skipped marks a contract answered by its verdicts (Config.Verdicts)
+	// without fuzzing (the Report carries the all-clean verdict a campaign
+	// would produce).
 	Skipped bool
 	// FailureClass names the failure taxonomy class of Err ("none" when
 	// the job succeeded; see internal/failure).
@@ -115,7 +113,7 @@ type CampaignReport struct {
 	Jobs []BatchResult
 	// Completed and Failed partition the jobs; Flagged counts completed
 	// jobs with at least one vulnerable class; Skipped counts the completed
-	// jobs answered by static triage without fuzzing.
+	// jobs answered by their verdicts without fuzzing.
 	Completed, Failed, Flagged, Skipped int
 	// Degraded, Retried and Replayed count the resilience outcomes:
 	// results accepted from a degraded attempt, jobs needing more than one
@@ -167,6 +165,7 @@ func AnalyzeBatch(ctx context.Context, jobs []BatchJob, cfg BatchConfig) (*Campa
 type Campaign struct {
 	cfg     BatchConfig
 	eng     *campaign.Engine // nil in adaptive (buffered) mode
+	memo    *memo.Cache      // the engine's cache; Submit decodes through it
 	start   time.Time
 	submits int
 
@@ -175,7 +174,6 @@ type Campaign struct {
 	// and the two-phase driver runs at Wait.
 	ctx     context.Context
 	ccfg    campaign.Config
-	memo    *memo.Cache
 	pending []campaign.Job
 
 	mu     sync.Mutex
@@ -192,41 +190,19 @@ type Campaign struct {
 // an unopenable journal path, or a resume against a journal written under
 // a different base seed.
 func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
-	mode, err := memo.ParseMode(cfg.Memo)
+	memoCache, err := cfg.openMemo()
 	if err != nil {
-		return nil, fmt.Errorf("wasai: %w", err)
-	}
-	// StoreDir backs the memo with the shared disk store; it implies
-	// memoization (a private cache when Memo is off). Memo="shared" uses
-	// the per-store shared cache, never the plain process-wide one — see
-	// memo.SharedWithDisk for why attaching there would leak globally.
-	var memoCache *memo.Cache
-	if cfg.StoreDir != "" {
-		disk, err := store.OpenShared(store.Options{Dir: cfg.StoreDir})
-		if err != nil {
-			return nil, fmt.Errorf("wasai: memo store: %w", err)
-		}
-		if mode == memo.ModeShared {
-			memoCache = memo.SharedWithDisk(disk)
-		} else {
-			memoCache = memo.ForMode(mode)
-			if memoCache == nil {
-				memoCache = memo.New()
-			}
-			memoCache.AttachDisk(disk)
-		}
+		return nil, err
 	}
 	ccfg := campaign.Config{
 		Workers:          cfg.Workers,
 		QueueDepth:       cfg.QueueDepth,
 		JobTimeout:       cfg.JobTimeout,
 		BaseSeed:         cfg.Seed,
-		StaticTriage:     cfg.StaticTriage,
-		Verdicts:         cfg.Verdicts,
+		Verdicts:         cfg.Verdicts || cfg.StaticTriage,
 		Journal:          cfg.Journal,
 		Resume:           cfg.Resume,
 		Retry:            campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
-		Memo:             mode,
 		MemoCache:        memoCache,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
@@ -236,10 +212,6 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		// Submit only collects and decodes; the two-phase driver runs at
 		// Wait. Submit-time module decoding shares the cache the driver
 		// will use.
-		if memoCache == nil {
-			memoCache = memo.ForMode(mode)
-			ccfg.MemoCache = memoCache
-		}
 		c := &Campaign{
 			cfg:   cfg,
 			start: time.Now(),
@@ -258,6 +230,7 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 	c := &Campaign{
 		cfg:   cfg,
 		eng:   eng,
+		memo:  memoCache,
 		start: time.Now(),
 		out:   make(chan BatchResult),
 	}
@@ -313,7 +286,7 @@ func (c *Campaign) Submit(job BatchJob) error {
 		// batch — or across a resumed rerun with a shared cache — are
 		// decoded and validated once and share one immutable module.
 		var err error
-		mod, err = c.memoCache().Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
+		mod, err = c.memo.Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
 			m, err := wasm.Decode(bin)
 			if err != nil {
 				return nil, err
@@ -371,14 +344,6 @@ func (c *Campaign) Submit(job BatchJob) error {
 	}
 	c.submits++
 	return nil
-}
-
-// memoCache resolves the decode-tier cache for Submit (nil-safe when off).
-func (c *Campaign) memoCache() *memo.Cache {
-	if c.eng != nil {
-		return c.eng.MemoCache()
-	}
-	return c.memo
 }
 
 // Results streams per-contract outcomes in completion order. The channel
@@ -505,19 +470,6 @@ func toBatchResult(jr campaign.JobResult) BatchResult {
 	if jr.Err != nil {
 		return br
 	}
-	res := jr.Result
-	report := &Report{
-		Coverage:      res.Coverage,
-		AdaptiveSeeds: res.AdaptiveSeeds,
-		Iterations:    res.Iterations,
-		Custom:        res.Custom,
-	}
-	for _, class := range contractgen.Classes {
-		report.Findings = append(report.Findings, Finding{
-			Class:      class.String(),
-			Vulnerable: res.Report.Vulnerable[class],
-		})
-	}
-	br.Report = report
+	br.Report = newReport(jr.Result)
 	return br
 }

@@ -13,17 +13,17 @@
 //	wasai-bench -exp fastvm                              # decoded-IR engine vs tree-walker
 //	wasai-bench -exp regress -baseline BENCH_BASELINE.json
 //
-// Experiments: fig3, table4, table5, table6, rq4, triage and all, plus
-// chaos, servechaos, memo, fastvm, verdict, onchain, adaptive and regress
-// (run explicitly; they are not part of "all"). Any other -exp name is an
-// error. -static-triage is shorthand for -exp triage. Scale
-// multiplies the dataset sizes (1.0 reproduces the full paper-sized
-// benchmark; small scales keep the shapes at a fraction of the runtime).
+// Experiments: fig3, table4, table5, table6, rq4 and all, plus chaos,
+// servechaos, memo, fastvm, verdict, onchain, adaptive and regress
+// (run explicitly; they are not part of "all"). Any other -exp name,
+// including the retired incr and triage, is an error. Scale multiplies
+// the dataset sizes (1.0 reproduces the full paper-sized benchmark; small
+// scales keep the shapes at a fraction of the runtime).
 // Workers shards the per-contract campaigns across the campaign engine;
 // findings are byte-identical for any worker count.
 //
 // Memoization: -memo off|on|shared threads the cross-job cache
-// (internal/memo) through the fig3/table/rq4/triage experiments; findings
+// (internal/memo) through the fig3/table/rq4 experiments; findings
 // are byte-identical either way. -exp memo runs the cache-on/off
 // differential at worker counts 1/4/8 and exits non-zero unless digests are
 // identical and DPLL solver invocations drop ≥30%. -exp fastvm times a
@@ -34,9 +34,12 @@
 // through the same experiments: all-proven-negative jobs skip execution and
 // proven-positive jobs schedule confirmed-first, findings-invariant either
 // way. -exp verdict runs the verdict gate — per-class soundness against a
-// dynamic campaign in both directions (zero violations), ≥30% of the wild
-// (contract, class) verdict matrix decided statically, and byte-identical
-// findings digests with verdicts off/on at worker counts 1/4/8. -exp
+// dynamic campaign in both directions (zero violations), every dynamic
+// finding carrying its static candidate flag and every static negative
+// proven by absint, ≥30% of the wild (contract, class) verdict matrix
+// decided statically, at least the 4 trivial contracts skipped, and
+// byte-identical findings digests with verdicts off/on at worker counts
+// 1/4/8. -exp
 // onchain runs the on-chain-data oracle gate: every injected fixture (both
 // polarities of all classes plus boilerplate) through full campaigns, with
 // perfect per-class precision/recall against generator ground truth and
@@ -70,7 +73,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -87,7 +89,7 @@ import (
 // experiments lists every -exp name: fig3 through all run under "all",
 // chaos and the rest only when named.
 var experiments = []string{
-	"fig3", "table4", "table5", "table6", "rq4", "triage", "all",
+	"fig3", "table4", "table5", "table6", "rq4", "all",
 	"chaos", "servechaos", "memo", "fastvm", "verdict", "onchain", "adaptive", "regress",
 }
 
@@ -115,7 +117,6 @@ func run() error {
 		iters     = flag.Int("iterations", 240, "fuzzing budget per contract")
 		workers   = flag.Int("workers", 0, "campaign-engine worker count (0 = GOMAXPROCS); findings are identical for any value")
 		svg       = flag.String("svg", "", "fig3: also write the figure as an SVG to this path")
-		triage    = flag.Bool("static-triage", false, "run only the static-triage agreement experiment (shorthand for -exp triage)")
 		journal   = flag.String("journal", "", "rq4: checkpoint the sweep to this JSONL journal")
 		resume    = flag.Bool("resume", false, "rq4: replay contracts already recorded in -journal instead of re-running them")
 		retries   = flag.Int("retries", 1, "max attempts per contract; attempts after the first run with degraded budgets")
@@ -130,9 +131,6 @@ func run() error {
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	)
 	flag.Parse()
-	if *triage {
-		*exp = "triage"
-	}
 	if err := checkExp(*exp); err != nil {
 		return err
 	}
@@ -269,28 +267,6 @@ func run() error {
 			return err
 		}
 	}
-	if want("triage") {
-		if err := runExp("Static triage (static-vs-dynamic agreement)", func() error {
-			ds, err := bench.BuildGroundTruth(bench.Table4Counts, opts)
-			if err != nil {
-				return err
-			}
-			tcfg := bench.DefaultTriageConfig()
-			tcfg.FuzzIterations = *iters
-			tcfg.Seed = *seed
-			tcfg.Workers = *workers
-			tcfg.Memo = memoMode
-			tcfg.Verdicts = *verdicts
-			res, err := bench.EvaluateTriage(context.Background(), ds, tcfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.String())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
 	if want("rq4") {
 		if err := runExp("RQ4 (vulnerabilities in the wild)", func() error {
 			cfg := bench.DefaultWildConfig()
@@ -366,8 +342,7 @@ func run() error {
 			}
 			fmt.Print(bench.RenderVerdict(res))
 			if !res.Passed() {
-				return fmt.Errorf("verdict experiment failed: violations neg=%d pos=%d, wild resolution %.0f%% (need ≥30%%), digests identical=%v",
-					res.NegViolations(), res.PosViolations(), 100*res.Resolution(), res.DigestMatch)
+				return fmt.Errorf("verdict experiment failed: %s", res.Failure())
 			}
 			return nil
 		}); err != nil {

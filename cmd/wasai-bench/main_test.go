@@ -34,11 +34,11 @@ func usageExperiments(t *testing.T) []string {
 	return names
 }
 
-// TestCheckExp: a retired experiment and a typo are rejected with the valid
-// names, every name the usage comment documents is accepted, and the
+// TestCheckExp: the retired experiments and a typo are rejected with the
+// valid names, every name the usage comment documents is accepted, and the
 // comment documents every experiment.
 func TestCheckExp(t *testing.T) {
-	for _, bad := range []string{"incr", "tabel4", ""} {
+	for _, bad := range []string{"incr", "triage", "tabel4", ""} {
 		err := checkExp(bad)
 		if err == nil {
 			t.Errorf("checkExp(%q) accepted an unknown experiment", bad)

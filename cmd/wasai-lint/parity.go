@@ -10,14 +10,15 @@ import (
 	"strings"
 )
 
-// checkOracleParity enforces the triage soundness precondition across
-// packages: every contractgen.Class* constant the scanner's detectors
-// reference (the dynamic oracles) must also be referenced by
+// checkOracleParity enforces the static layers' soundness precondition
+// across packages: every contractgen.Class* constant the scanner's
+// detectors reference (the dynamic oracles) must also be referenced by
 // internal/static (which computes one candidate flag per oracle class) AND
 // by internal/static/absint (which proves one three-valued verdict per
-// class). A class detected dynamically but unknown to either static layer
-// would get no candidate flag or verdict, and a triage skip could then
-// suppress a real finding.
+// class). A class detected dynamically but unknown to absint would get no
+// verdict, and a verdict skip could then suppress a real finding; one
+// unknown to internal/static would get no candidate flag, which
+// wasai.AnalyzeStatic reports as "statically impossible".
 func checkOracleParity(root string) ([]string, error) {
 	scannerClasses, err := classRefs(filepath.Join(root, "internal/scanner"))
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/contractgen"
 	"repro/internal/eos"
 	"repro/internal/fuzz"
+	"repro/internal/static"
 	"repro/internal/static/absint"
 )
 
@@ -18,12 +19,16 @@ import (
 // as three legs that hold the engine's contracted properties to a gate at
 // once. `wasai-bench -exp verdict` exits non-zero when any fails.
 //
-// Leg 1 (soundness) analyzes a generated ground-truth corpus plus a wild
-// population sample and cross-checks every per-class verdict against a
-// real dynamic campaign over the same contracts, in both directions: a
-// proven-negative class whose dynamic oracle fires, or a proven-positive
-// class whose oracle stays silent, is a soundness violation. The gate
-// requires zero violations either way.
+// Leg 1 (soundness) analyzes a generated ground-truth corpus, a wild
+// population sample and VerdictTrivialContracts boilerplate contracts, and
+// cross-checks every per-class verdict against a real dynamic campaign
+// over the same contracts, in both directions: a proven-negative class
+// whose dynamic oracle fires, or a proven-positive class whose oracle
+// stays silent, is a soundness violation. The same leg holds the
+// candidate flags of internal/static to the two properties that make the
+// verdicts the only triage the campaign needs: every dynamic finding's
+// class carries its candidate flag, and every class without one is proven
+// negative by absint. The gate requires zero violations of each kind.
 //
 // Leg 2 (precision) measures how much of the wild population the engine
 // decides statically, counted per (contract, class) verdict: every
@@ -37,9 +42,16 @@ import (
 //
 // Leg 3 (campaign differential) fuzzes the combined corpus with verdicts
 // off and on at several worker counts and requires every run's
-// FindingsDigest byte-identical to one reference. State digests are
-// deliberately not compared across the off/on pair: a verdict skip does no
-// work, so its coverage counters are zero by design.
+// FindingsDigest byte-identical to one reference, and every verdicts-on
+// run to skip at least the boilerplate contracts, so the differential
+// always covers the skip path. State digests are deliberately not
+// compared across the off/on pair: a verdict skip does no work, so its
+// coverage counters are zero by design.
+
+// VerdictTrivialContracts is how many contractgen.Trivial contracts the
+// corpus carries. Every class of a trivial contract is proven negative,
+// so each verdicts-on run must skip at least this many jobs.
+const VerdictTrivialContracts = 4
 
 // VerdictConfig tunes the verdict-engine experiment.
 type VerdictConfig struct {
@@ -74,6 +86,11 @@ type VerdictClassStats struct {
 	// fired; PosViolations proven-positive verdicts whose oracle stayed
 	// silent. Both must be zero.
 	NegViolations, PosViolations int
+	// CandidateViolations counts dynamic findings on contracts without
+	// the class's static candidate flag; StaticGaps counts contracts
+	// without the flag whose verdict is not proven negative. Both must be
+	// zero.
+	CandidateViolations, StaticGaps int
 }
 
 // VerdictWorkerRun is the campaign leg's off/on comparison at one worker
@@ -104,27 +121,51 @@ type VerdictResult struct {
 	DigestMatch bool
 }
 
-// NegViolations sums the unsound-negative count over all classes.
-func (r *VerdictResult) NegViolations() int {
+// sum totals one per-class count over all classes.
+func (r *VerdictResult) sum(count func(*VerdictClassStats) int) int {
 	n := 0
 	for _, s := range r.PerClass {
-		n += s.NegViolations
+		n += count(s)
 	}
 	return n
+}
+
+// NegViolations sums the unsound-negative count over all classes.
+func (r *VerdictResult) NegViolations() int {
+	return r.sum(func(s *VerdictClassStats) int { return s.NegViolations })
 }
 
 // PosViolations sums the unsound-positive count over all classes.
 func (r *VerdictResult) PosViolations() int {
-	n := 0
-	for _, s := range r.PerClass {
-		n += s.PosViolations
+	return r.sum(func(s *VerdictClassStats) int { return s.PosViolations })
+}
+
+// CandidateViolations sums the dynamic findings that lacked their static
+// candidate flag over all classes.
+func (r *VerdictResult) CandidateViolations() int {
+	return r.sum(func(s *VerdictClassStats) int { return s.CandidateViolations })
+}
+
+// StaticGaps sums the static negatives absint did not prove over all
+// classes.
+func (r *VerdictResult) StaticGaps() int {
+	return r.sum(func(s *VerdictClassStats) int { return s.StaticGaps })
+}
+
+// SkipsCovered reports whether every verdicts-on run skipped at least the
+// corpus's trivial contracts.
+func (r *VerdictResult) SkipsCovered() bool {
+	for _, run := range r.Runs {
+		if run.Skipped < VerdictTrivialContracts {
+			return false
+		}
 	}
-	return n
+	return len(r.Runs) > 0
 }
 
 // Resolution is the decided fraction of the wild (contract, class) verdict
-// matrix: each non-Unknown verdict is static triage work the dynamic
-// campaign no longer has to do.
+// matrix: each non-Unknown verdict is work the dynamic campaign no longer
+// has to do.
 func (r *VerdictResult) Resolution() float64 {
 	if r.Wild == 0 {
 		return 0
@@ -133,11 +174,21 @@ func (r *VerdictResult) Resolution() float64 {
 }
 
 // Passed is the acceptance gate: zero soundness violations in both
-// directions, ≥30% wild resolution, and byte-identical findings digests at
-// every worker count with verdicts off and on.
+// directions, zero static-candidate violations and static gaps, ≥30% wild
+// resolution, every verdicts-on run skipping the trivial contracts, and
+// byte-identical findings digests at every worker count with verdicts off
+// and on.
 func (r *VerdictResult) Passed() bool {
 	return r.DigestMatch && r.NegViolations() == 0 && r.PosViolations() == 0 &&
-		r.Resolution() >= 0.30
+		r.CandidateViolations() == 0 && r.StaticGaps() == 0 &&
+		r.Resolution() >= 0.30 && r.SkipsCovered()
+}
+
+// Failure summarizes the gate's counters for a failed run.
+func (r *VerdictResult) Failure() string {
+	return fmt.Sprintf("violations neg=%d pos=%d candidate=%d static-gaps=%d, resolution %.0f%% (need ≥30%%), skip path covered=%v, digests identical=%v",
+		r.NegViolations(), r.PosViolations(), r.CandidateViolations(), r.StaticGaps(),
+		100*r.Resolution(), r.SkipsCovered(), r.DigestMatch)
 }
 
 // EvaluateVerdict runs all three legs over one combined corpus.
@@ -145,7 +196,7 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Corpus: the full ground-truth sweep (every class, both polarities),
-	// then the wild sample.
+	// the wild sample, then the trivial contracts.
 	type sample struct {
 		name     string
 		contract *contractgen.Contract
@@ -168,6 +219,9 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 	for _, w := range wild {
 		samples = append(samples, sample{name: "wild-" + w.Name.String(), contract: w.Contract, wild: true})
 	}
+	for i := 0; i < VerdictTrivialContracts; i++ {
+		samples = append(samples, sample{name: fmt.Sprintf("trivial-%d", i), contract: contractgen.Trivial()})
+	}
 
 	res := &VerdictResult{
 		Total:       len(samples),
@@ -178,23 +232,32 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 		res.PerClass[class] = &VerdictClassStats{}
 	}
 
-	// Static pass: one verdict report per contract (legs 1 and 2 read it;
-	// the campaign runs recompute their own through the engine's cache).
+	// Static pass: one verdict report and one candidate report per
+	// contract (legs 1 and 2 read them; the campaign runs recompute their
+	// verdicts through the engine's cache).
 	reports := make([]*absint.Report, len(samples))
+	candidates := make([]*static.Report, len(samples))
 	for i, s := range samples {
 		var actions []eos.Name
 		for _, act := range s.contract.ABI.Actions {
 			actions = append(actions, act.Name)
 		}
 		reports[i] = absint.Analyze(s.contract.Module, actions)
+		if candidates[i], err = static.Analyze(s.contract.Module); err != nil {
+			return nil, fmt.Errorf("bench: verdict static pass %q: %w", s.name, err)
+		}
 		for _, class := range contractgen.Classes {
-			switch reports[i].Verdicts[class].Kind {
+			kind := reports[i].Verdicts[class].Kind
+			switch kind {
 			case absint.ProvenNegative:
 				res.PerClass[class].ProvenNeg++
 			case absint.ProvenPositive:
 				res.PerClass[class].ProvenPos++
 			default:
 				res.PerClass[class].Unknown++
+			}
+			if !candidates[i].Candidates[class] && kind != absint.ProvenNegative {
+				res.PerClass[class].StaticGaps++
 			}
 		}
 		if s.wild {
@@ -250,6 +313,9 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 				}
 				for _, class := range contractgen.Classes {
 					dyn := jr.Result.Report.Vulnerable[class]
+					if dyn && !candidates[j].Candidates[class] {
+						res.PerClass[class].CandidateViolations++
+					}
 					switch reports[j].Verdicts[class].Kind {
 					case absint.ProvenNegative:
 						if dyn {
@@ -285,22 +351,22 @@ func RenderVerdict(r *VerdictResult) string {
 	fmt.Fprintf(&sb, "soundness leg (%d contracts, %d wild):\n", r.Total, r.Wild)
 	for _, class := range contractgen.Classes {
 		s := r.PerClass[class]
-		fmt.Fprintf(&sb, "  %-14s neg=%-3d pos=%-3d unknown=%-3d violations neg=%d pos=%d\n",
-			class, s.ProvenNeg, s.ProvenPos, s.Unknown, s.NegViolations, s.PosViolations)
+		fmt.Fprintf(&sb, "  %-14s neg=%-3d pos=%-3d unknown=%-3d violations neg=%d pos=%d candidate=%d static-gaps=%d\n",
+			class, s.ProvenNeg, s.ProvenPos, s.Unknown, s.NegViolations, s.PosViolations,
+			s.CandidateViolations, s.StaticGaps)
 	}
 	fmt.Fprintf(&sb, "precision leg: %d/%d wild (contract, class) verdicts decided (%.0f%%, need ≥30%%); %d/%d contracts fully resolved\n",
 		r.WildDecided, r.Wild*len(contractgen.Classes), 100*r.Resolution(), r.WildResolved, r.Wild)
 	fmt.Fprintf(&sb, "campaign leg:\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&sb, "  workers=%d: findings digests identical=%v, %d skipped, wall off %.2fs, on %.2fs\n",
-			run.Workers, run.DigestMatch, run.Skipped, run.OffWall.Seconds(), run.OnWall.Seconds())
+		fmt.Fprintf(&sb, "  workers=%d: findings digests identical=%v, %d skipped (need ≥%d), wall off %.2fs, on %.2fs\n",
+			run.Workers, run.DigestMatch, run.Skipped, VerdictTrivialContracts, run.OffWall.Seconds(), run.OnWall.Seconds())
 	}
 	if r.Passed() {
-		fmt.Fprintf(&sb, "verdict: PASS — zero soundness violations, %.0f%% wild resolution, byte-identical findings\n",
+		fmt.Fprintf(&sb, "verdict: PASS — zero soundness violations, every static negative proven, %.0f%% wild resolution, skip path covered, byte-identical findings\n",
 			100*r.Resolution())
 	} else {
-		fmt.Fprintf(&sb, "verdict: FAIL — violations neg=%d pos=%d, resolution %.0f%% (need ≥30%%), digests identical=%v\n",
-			r.NegViolations(), r.PosViolations(), 100*r.Resolution(), r.DigestMatch)
+		fmt.Fprintf(&sb, "verdict: FAIL — %s\n", r.Failure())
 	}
 	return sb.String()
 }

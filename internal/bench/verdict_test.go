@@ -1,8 +1,8 @@
 package bench
 
 import (
-	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/contractgen"
@@ -11,49 +11,55 @@ import (
 	"repro/internal/static/absint"
 )
 
-// TestEvaluateTriage smoke-runs the static-vs-dynamic agreement experiment
-// at a small scale and asserts the two load-bearing properties: triage does
-// not change findings, and the candidate flags are sound (zero false
-// negatives against the dynamic verdicts — a dynamic finding whose class
-// had no candidate flag would mean triage could have skipped a real bug).
-func TestEvaluateTriage(t *testing.T) {
-	ds, err := BuildGroundTruth(Table4Counts, Options{Scale: 0.002, Seed: 5})
+// TestEvaluateVerdict smoke-runs the verdict gate at a small scale and
+// asserts its budget-independent properties: no proven-negative class
+// fires dynamically, every dynamic finding carries its static candidate
+// flag, every static negative is proven negative by absint, every
+// verdicts-on run skips at least the trivial contracts, and the findings
+// digests match. Positive proofs need the gate's full budget to surface,
+// so PosViolations and the wild resolution are left to `make verdict`.
+func TestEvaluateVerdict(t *testing.T) {
+	cfg := DefaultVerdictConfig()
+	cfg.WildContracts = 4
+	cfg.FuzzIterations = 30
+	cfg.WorkerCounts = []int{1, 4}
+	res, err := EvaluateVerdict(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultTriageConfig()
-	cfg.FuzzIterations = 30
-	cfg.Workers = 4
-	cfg.Seed = 5
-	cfg.TrivialContracts = 5
-	res, err := EvaluateTriage(context.Background(), ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if want := 2*len(contractgen.Classes) + cfg.WildContracts + VerdictTrivialContracts; res.Total != want {
+		t.Errorf("corpus has %d contracts, want %d", res.Total, want)
 	}
 	if !res.DigestMatch {
-		t.Error("triage changed the findings digest")
+		t.Error("verdicts changed the findings digest")
 	}
-	if res.Skipped != cfg.TrivialContracts {
-		t.Errorf("skipped %d, want the %d trivial contracts", res.Skipped, cfg.TrivialContracts)
+	if n := res.NegViolations(); n != 0 {
+		t.Errorf("%d proven-negative classes fired dynamically", n)
 	}
-	if res.Samples != len(ds.Samples)+cfg.TrivialContracts {
-		t.Errorf("samples = %d, want %d", res.Samples, len(ds.Samples)+cfg.TrivialContracts)
-	}
-	for class, c := range res.PerClass {
-		if c.FN > 0 {
-			t.Errorf("%s: %d dynamic findings lacked the static candidate flag (unsound)", class, c.FN)
+	for class, s := range res.PerClass {
+		if s.CandidateViolations > 0 {
+			t.Errorf("%s: %d dynamic findings lacked the static candidate flag", class, s.CandidateViolations)
+		}
+		if s.StaticGaps > 0 {
+			t.Errorf("%s: %d static negatives not proven negative by absint", class, s.StaticGaps)
 		}
 	}
-	if s := res.String(); s == "" {
-		t.Error("empty render")
+	if !res.SkipsCovered() {
+		for _, run := range res.Runs {
+			t.Errorf("workers=%d: skipped %d jobs, want at least the %d trivial contracts",
+				run.Workers, run.Skipped, VerdictTrivialContracts)
+		}
+	}
+	if s := RenderVerdict(res); !strings.Contains(s, "static-gaps=0") {
+		t.Errorf("render lacks the static cross-check:\n%s", s)
 	}
 }
 
-// TestStaticNegativesAreAbsintNegatives pins the precondition for folding
-// static triage into the absint verdicts: on the wild population and the
-// Table-4 and verification datasets, every (contract, class) pair that
-// static.Analyze leaves without a candidate flag is proven negative by
-// absint.Analyze, so the verdicts alone skip at least what triage skips.
+// TestStaticNegativesAreAbsintNegatives pins why the absint verdicts are
+// the campaign's only triage: on the wild population and the Table-4 and
+// verification datasets, every (contract, class) pair that static.Analyze
+// leaves without a candidate flag is proven negative by absint.Analyze, so
+// the verdicts skip at least every job the candidate flags would.
 func TestStaticNegativesAreAbsintNegatives(t *testing.T) {
 	wild, err := contractgen.GenerateWild(contractgen.DefaultWildOptions(991), rand.New(rand.NewSource(1)))
 	if err != nil {

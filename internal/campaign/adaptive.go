@@ -35,7 +35,7 @@ import (
 // jobConfig resolves the effective fuzz configuration of one attempt — the
 // per-attempt derivation shared by the streaming engine and the adaptive
 // driver.
-func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache, verdicts *verdictCache) (fuzz.Config, string) {
+func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache) (fuzz.Config, string) {
 	cfg := job.Config
 	if cfg.Seed == 0 {
 		cfg.Seed = cc.BaseSeed + int64(job.ID)
@@ -57,15 +57,6 @@ func jobConfig(job Job, attempt int, cc Config, mc *memo.Cache, verdicts *verdic
 			cfg.SaturationWindow = cc.SaturationWindow
 		}
 	}
-	if verdicts != nil && cfg.Static != nil {
-		// A proven-positive job skips the static fuel/solver budget raise:
-		// the positive witness is a concrete run inside the base budget, so
-		// the extra headroom the candidate score would buy cannot be needed
-		// to surface the finding.
-		if rep := verdicts.report(job); rep != nil && rep.AnyPositive() {
-			cfg.Static = nil
-		}
-	}
 	return cfg, mode
 }
 
@@ -76,7 +67,6 @@ type liveJob struct {
 	jr    JobResult
 	f     *fuzz.Fuzzer     // non-nil after a successful phase 1
 	phase fuzz.PhaseReport // phase-1 summary (ledger input)
-	score int              // static triage score (ledger ranking)
 	rec   *journalRecord   // non-nil when replayed from a resume journal
 	final bool             // jr is complete; the job skips phase 2
 }
@@ -94,7 +84,6 @@ func (lj *liveJob) ledgerPhase() (schedule.JobPhase, bool) {
 			Executed:    true,
 			Saturated:   s.P1Saturated,
 			FuelUnspent: s.Unspent,
-			StaticScore: s.Score,
 			Coverage:    s.P1Coverage,
 			Iterations:  s.P1Iters,
 			MaxGrant:    lj.job.Config.Iterations,
@@ -108,7 +97,6 @@ func (lj *liveJob) ledgerPhase() (schedule.JobPhase, bool) {
 		Executed:    true,
 		Saturated:   lj.phase.Saturated,
 		FuelUnspent: lj.phase.FuelUnspent,
-		StaticScore: lj.score,
 		Coverage:    lj.phase.Coverage,
 		Iterations:  lj.phase.Iterations,
 		// A job can at most double its budget: the cap keeps one deep
@@ -124,7 +112,6 @@ type adaptiveRun struct {
 	jw       *journalWriter
 	memo     *memo.Cache
 	memoBase memo.Stats
-	triage   *triageCache
 	verdicts *verdictCache
 }
 
@@ -138,9 +125,6 @@ func runAdaptive(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	a := &adaptiveRun{cfg: cfg, done: done, jw: jw}
 	a.memo = cfg.memoCache()
 	a.memoBase = a.memo.Snapshot()
-	if cfg.StaticTriage {
-		a.triage = newTriageCache(a.memo)
-	}
 	if cfg.Verdicts {
 		a.verdicts = newVerdictCache(a.memo)
 	}
@@ -150,8 +134,8 @@ func runAdaptive(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 		order[i] = jobs[i]
 		order[i].ID = i
 	}
-	if a.triage != nil || a.verdicts != nil {
-		order = orderJobs(order, a.triage, a.verdicts)
+	if a.verdicts != nil {
+		order = orderJobs(order, a.verdicts)
 	}
 
 	bail := func(err error) (*Report, error) {
@@ -246,16 +230,16 @@ loop:
 	wg.Wait()
 }
 
-// phase1 decides a job up to the barrier: journal replay, triage and
-// verdict skips, then the retry loop around RunPhase. On success the
-// fuzzer stays open for phase 2.
+// phase1 decides a job up to the barrier: journal replay, the verdict
+// skip, then the retry loop around RunPhase. On success the fuzzer stays
+// open for phase 2.
 func (a *adaptiveRun) phase1(ctx context.Context, job Job) (lj *liveJob) {
 	start := time.Now() //wasai:nondet JobResult.Duration is reporting-only, never fed back
 	lj = &liveJob{job: job}
 	lj.jr.Job = job
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic outside an attempt (triage, bookkeeping) is terminal:
+			// A panic outside an attempt (verdicts, bookkeeping) is terminal:
 			// attempts carry their own recovery, so this one would repeat.
 			lj.f, lj.jr.Result = nil, nil
 			lj.jr.Err = failure.Wrap(failure.Panic, &PanicError{Value: r, Stack: debug.Stack()})
@@ -271,20 +255,10 @@ func (a *adaptiveRun) phase1(ctx context.Context, job Job) (lj *liveJob) {
 		lj.final = true
 		return lj
 	}
-	if a.triage != nil && skippable(job, a.triage.report(job.Module)) {
-		lj.jr = skipResult(job)
-		lj.final = true
-		return lj
-	}
 	if a.verdicts != nil && verdictSkippable(job, a.verdicts.report(job)) {
 		lj.jr = skipResult(job)
 		lj.final = true
 		return lj
-	}
-	if a.triage != nil {
-		if rep := a.triage.report(job.Module); rep != nil {
-			lj.score = rep.Score()
-		}
 	}
 
 	maxAttempts := a.cfg.Retry.maxAttempts()
@@ -325,7 +299,7 @@ func (a *adaptiveRun) phase1Attempt(ctx context.Context, job Job, attempt int) (
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo, a.verdicts)
+	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo)
 	f, err = fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, phase, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)
@@ -415,7 +389,7 @@ func (a *adaptiveRun) fullAttempt(ctx context.Context, job Job, attempt, grant i
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo, a.verdicts)
+	cfg, mode = jobConfig(job, attempt, a.cfg, a.memo)
 	f, err := fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)
@@ -454,7 +428,6 @@ func (a *adaptiveRun) record(ctx context.Context, lj *liveJob, grant int) {
 		rec.Sched.Executed = true
 		rec.Sched.P1Saturated = lj.phase.Saturated
 		rec.Sched.Unspent = lj.phase.FuelUnspent
-		rec.Sched.Score = lj.score
 		rec.Sched.P1Coverage = lj.phase.Coverage
 		rec.Sched.P1Iters = lj.phase.Iterations
 		rec.Sched.Grant = grant

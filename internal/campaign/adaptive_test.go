@@ -36,10 +36,9 @@ func keepJournalPrefix(t *testing.T, path string, keep int) {
 
 // TestAdaptiveDigestWorkerInvariant: the adaptive campaign's digests are
 // identical at every worker count, both alone and composed with the full
-// optimization stack (shared memo, static triage and verdict triage) —
-// every scheduling decision is
-// a pure function of (seed, observed coverage), so worker interleaving and
-// cache hits must be invisible.
+// optimization stack (shared memo and verdict triage) — every scheduling
+// decision is a pure function of (seed, observed coverage), so worker
+// interleaving and cache hits must be invisible.
 func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
 	const nJobs = 10
 	mk := func() []Job { return testJobs(t, nJobs, 40, 31) }
@@ -49,11 +48,10 @@ func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
 	}{
 		{"bare", Config{Adaptive: true, BaseSeed: 3}},
 		{"full-stack", Config{
-			Adaptive:     true,
-			BaseSeed:     3,
-			Memo:         memo.ModeShared,
-			StaticTriage: true,
-			Verdicts:     true,
+			Adaptive: true,
+			BaseSeed: 3,
+			Memo:     memo.ModeShared,
+			Verdicts: true,
 		}},
 	}
 	for _, layer := range layers {

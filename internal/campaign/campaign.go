@@ -71,20 +71,12 @@ type Config struct {
 	// fuzzes with BaseSeed + ID. Worker scheduling never influences the
 	// seed, which is what makes results worker-count invariant.
 	BaseSeed int64
-	// StaticTriage runs internal/static over each job's module before
-	// fuzzing: jobs whose module provably cannot trip any oracle are
-	// answered with a synthesized all-clean result (JobResult.Skipped), and
-	// Run schedules the rest highest-static-score first. Triage never
-	// changes findings — skips are provably-negative only, and reordering
-	// is invisible because seeds derive from job IDs.
-	StaticTriage bool
 	// Verdicts runs the abstract-interpretation verdict engine
 	// (internal/static/absint) over each job's module and ABI before
 	// fuzzing. Jobs with all eight oracle classes (contractgen.Classes)
-	// proven negative are answered with the same synthesized all-clean
-	// result a StaticTriage skip produces; jobs with a proven-positive
-	// class are scheduled confirmed-first and skip the static fuel/solver
-	// budget raise. The
+	// proven negative are answered with a synthesized all-clean result
+	// (JobResult.Skipped), unless they carry custom detectors or keep
+	// traces; Run schedules jobs with a proven-positive class first. The
 	// engine never changes findings — skips rest on machine-checked
 	// negative proofs, reordering is invisible because seeds derive from
 	// job IDs, and FindingsDigest is byte-identical with verdicts on or
@@ -118,7 +110,7 @@ type Config struct {
 	Memo memo.Mode
 	// MemoCache overrides the cache instance (implies Memo on). The batch
 	// facade uses it so module decoding at Submit time and the engine's
-	// solver/static tiers share one cache.
+	// solver/verdict tiers share one cache.
 	MemoCache *memo.Cache
 	// Adaptive enables the coverage-driven scheduling layer
 	// (internal/schedule) at both levels: every job runs the intra-job
@@ -168,9 +160,10 @@ type JobResult struct {
 	// Err is the job's failure: a setup/run error, the per-job context
 	// error on timeout, or a *PanicError when the job panicked.
 	Err error
-	// Skipped marks a job answered by static triage without execution:
-	// Result is the synthesized all-clean verdict the fuzzer would have
-	// produced (and its coverage/iteration counters are zero).
+	// Skipped marks a job answered by its verdicts (Config.Verdicts)
+	// without execution: Result is the synthesized all-clean verdict the
+	// fuzzer would have produced (and its coverage/iteration counters are
+	// zero).
 	Skipped bool
 	// Attempts counts the tries the job consumed (0 for skipped and
 	// replayed jobs, 1 when the first try decided it).
@@ -214,7 +207,6 @@ type Engine struct {
 	results  chan JobResult
 	wg       sync.WaitGroup
 	close    sync.Once
-	triage   *triageCache           // non-nil when cfg.StaticTriage
 	verdicts *verdictCache          // non-nil when cfg.Verdicts
 	done     map[int]*journalRecord // journaled outcomes to replay (resume)
 	jw       *journalWriter         // non-nil when cfg.Journal is set
@@ -241,9 +233,6 @@ func Start(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	e.memo = cfg.memoCache()
 	e.memoBase = e.memo.Snapshot()
-	if cfg.StaticTriage {
-		e.triage = newTriageCache(e.memo)
-	}
 	if cfg.Verdicts {
 		e.verdicts = newVerdictCache(e.memo)
 	}
@@ -287,11 +276,6 @@ func (e *Engine) Submit(job Job) error {
 // closes. Close is idempotent.
 func (e *Engine) Close() { e.close.Do(func() { close(e.jobs) }) }
 
-// MemoCache exposes the engine's memoization cache (nil when Memo is
-// off). The batch facade decodes modules through it so the module tier is
-// shared with the solver and static tiers.
-func (e *Engine) MemoCache() *memo.Cache { return e.memo }
-
 // MemoStats returns this campaign's cache-counter delta since Start, or
 // nil when memoization is off. Against a shared cache the delta isolates
 // this campaign's hits from other campaigns'.
@@ -307,7 +291,7 @@ func (e *Engine) MemoStats() *memo.Stats {
 // after Close once every submitted job has been delivered.
 func (e *Engine) Results() <-chan JobResult { return e.results }
 
-// runJob executes one campaign: journal replay, triage, then the
+// runJob executes one campaign: journal replay, the verdict skip, then the
 // retry-with-degradation loop. The whole loop runs inline in the job's
 // worker — retries never reschedule — so results stay a pure function of
 // the job, not of worker count or timing.
@@ -316,7 +300,7 @@ func (e *Engine) runJob(job Job) (jr JobResult) {
 	jr.Job = job
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic outside an attempt (triage, bookkeeping) is terminal:
+			// A panic outside an attempt (verdicts, bookkeeping) is terminal:
 			// attempts carry their own recovery, so this one would repeat.
 			jr.Result = nil
 			jr.Err = failure.Wrap(failure.Panic, &PanicError{Value: r, Stack: debug.Stack()})
@@ -328,11 +312,6 @@ func (e *Engine) runJob(job Job) (jr JobResult) {
 
 	if rec, ok := e.done[job.ID]; ok {
 		jr = rec.toResult(job)
-		return jr
-	}
-
-	if e.triage != nil && skippable(job, e.triage.report(job.Module)) {
-		jr = skipResult(job)
 		return jr
 	}
 
@@ -378,7 +357,7 @@ func (e *Engine) attempt(job Job, attempt int) (res *fuzz.Result, mode string, e
 		defer cancel()
 	}
 	var cfg fuzz.Config
-	cfg, mode = jobConfig(job, attempt, e.cfg, e.memo, e.verdicts)
+	cfg, mode = jobConfig(job, attempt, e.cfg, e.memo)
 	f, err := fuzz.New(job.Module, job.ABI, cfg)
 	if err != nil {
 		return nil, mode, fmt.Errorf("campaign: job %d (%s): %w", job.ID, job.Name, err)
@@ -433,12 +412,11 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 		order[i] = jobs[i]
 		order[i].ID = i
 	}
-	if e.triage != nil || e.verdicts != nil {
-		// Proven-positive jobs first, then highest static score
-		// (longest-job-first packing). IDs were assigned above from slice
+	if e.verdicts != nil {
+		// Proven-positive jobs first. IDs were assigned above from slice
 		// positions, so the reorder is invisible to seeds and to the
 		// results slice.
-		order = orderJobs(order, e.triage, e.verdicts)
+		order = orderJobs(order, e.verdicts)
 	}
 	var submitErr error
 	for _, job := range order {

@@ -80,7 +80,6 @@ type schedRecord struct {
 	Executed    bool `json:"p1_ok,omitempty"`
 	P1Saturated bool `json:"p1_saturated,omitempty"`
 	Unspent     int  `json:"unspent,omitempty"`
-	Score       int  `json:"score,omitempty"`
 	P1Coverage  int  `json:"p1_coverage,omitempty"`
 	P1Iters     int  `json:"p1_iters,omitempty"`
 	Grant       int  `json:"grant,omitempty"`

@@ -50,7 +50,7 @@ func TestMemoDifferentialWorkers(t *testing.T) {
 	}
 }
 
-// TestMemoComposesWithTriageAndRetries runs the cache together with static
+// TestMemoComposesWithTriageAndRetries runs the cache together with verdict
 // triage and the retry policy: the composed configuration must still match
 // the plain run's findings (triage legitimately changes StateDigest for
 // skipped jobs, so only FindingsDigest is compared).
@@ -61,11 +61,11 @@ func TestMemoComposesWithTriageAndRetries(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 	rep, err := Run(context.Background(), mk(), Config{
-		Workers:      4,
-		BaseSeed:     3,
-		Memo:         memo.ModeOn,
-		StaticTriage: true,
-		Retry:        RetryPolicy{MaxAttempts: 2},
+		Workers:  4,
+		BaseSeed: 3,
+		Memo:     memo.ModeOn,
+		Verdicts: true,
+		Retry:    RetryPolicy{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatalf("composed run: %v", err)

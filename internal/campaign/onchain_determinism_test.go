@@ -80,7 +80,7 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 
 // TestOnChainOracleDeterminism runs the scenario-class population at 1, 4
 // and 8 workers, plain and with every engine layer stacked (memoization,
-// candidate triage, verdict triage), and
+// verdict triage), and
 // requires byte-identical findings digests throughout — plus identical
 // state digests across worker counts of the plain configuration.
 func TestOnChainOracleDeterminism(t *testing.T) {
@@ -103,11 +103,10 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 				t.Errorf("plain StateDigest diverged:\n got: %s\nwant: %s", got, want)
 			}
 			layered, err := Run(context.Background(), mk(), Config{
-				Workers:      workers,
-				BaseSeed:     7,
-				Memo:         memo.ModeOn,
-				StaticTriage: true,
-				Verdicts:     true,
+				Workers:  workers,
+				BaseSeed: 7,
+				Memo:     memo.ModeOn,
+				Verdicts: true,
 			})
 			if err != nil {
 				t.Fatalf("layered run: %v", err)

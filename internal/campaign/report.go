@@ -19,7 +19,8 @@ type Report struct {
 	// Run (completion order is not observable here — determinism).
 	Results []JobResult
 	// Completed and Failed partition the jobs. Skipped counts the subset of
-	// Completed answered by static triage without execution.
+	// Completed answered by their verdicts (Config.Verdicts) without
+	// execution.
 	Completed int
 	Failed    int
 	Skipped   int
@@ -118,8 +119,8 @@ func Aggregate(results []JobResult, wall time.Duration) *Report {
 // FindingsDigest renders the campaign's findings as a canonical sorted
 // string: one line per job (name, per-class verdicts, error if any), sorted
 // by job ID. Two campaigns over the same jobs found the same vulnerabilities
-// iff their digests are byte-identical — the triage differential tests
-// compare exactly this (a triage skip reports the all-clean verdict the
+// iff their digests are byte-identical — the verdict differential tests
+// compare exactly this (a verdict skip reports the all-clean verdict the
 // dynamic run would have, but does no work, so execution counters are
 // deliberately excluded; see StateDigest).
 func (r *Report) FindingsDigest() string {

@@ -10,19 +10,19 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fuzz"
 	"repro/internal/memo"
+	"repro/internal/scanner"
+	"repro/internal/static/absint"
 )
 
 // verdict_test.go holds the engine-level differential for the
 // abstract-interpretation verdict engine: Config.Verdicts may only ever
 // change which jobs execute (proven-negative skips, confirmed-first
 // ordering), never the findings, and must compose with every other engine
-// layer — memoization, static triage, fault-injected retries, and journal
-// kill+resume.
+// layer — memoization, fault-injected retries, and journal kill+resume.
 //
 // Unlike the golden-digest tests, only FindingsDigest is compared across
 // the off/on pair: a verdict skip deliberately does no work, so the
-// state digest's coverage counters differ by design (exactly as they do
-// for static-triage skips).
+// state digest's coverage counters differ by design.
 
 // verdictDigests runs the same population with the flag off and on and
 // requires the findings digests to match byte for byte.
@@ -107,18 +107,14 @@ func TestVerdictResolvesJobs(t *testing.T) {
 }
 
 // TestVerdictComposesWithEverything stacks the verdict engine on top of
-// cross-job memoization and candidate-level static triage: three layers
-// each promise digest invariance, and this is the witness that the
-// promises hold together.
-// With both triage layers on, the candidate pass skips first and the
-// verdict pass only sees what it left behind.
+// cross-job memoization: both layers promise digest invariance, and this
+// is the witness that the promises hold together.
 func TestVerdictComposesWithEverything(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
 	verdictDigests(t, mk, Config{
-		Workers:      4,
-		BaseSeed:     7,
-		Memo:         memo.ModeOn,
-		StaticTriage: true,
+		Workers:  4,
+		BaseSeed: 7,
+		Memo:     memo.ModeOn,
 	})
 }
 
@@ -198,5 +194,138 @@ func TestVerdictKillResume(t *testing.T) {
 	}
 	if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
 		t.Errorf("FindingsDigest diverged after verdict kill+resume:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// triageTestJobs is testJobs plus trivial (provably-negative) contracts
+// appended, so the verdict skip has something to skip.
+func triageTestJobs(tb testing.TB, n, iterations int, seed int64) []Job {
+	tb.Helper()
+	jobs := testJobs(tb, n, iterations, seed)
+	for i := 0; i < 4; i++ {
+		c := contractgen.Trivial()
+		jobs = append(jobs, Job{
+			Name:   "trivial",
+			Module: c.Module,
+			ABI:    c.ABI,
+			Config: fuzz.Config{Iterations: iterations, SolverConflicts: 50_000},
+		})
+	}
+	return jobs
+}
+
+// TestTriageFindingsIdentical: the same batch, verdicts off vs. on, must
+// report byte-identical findings, the on run must skip the trivial
+// contracts, and the on run's state digest — skips included — must not
+// depend on the worker count.
+func TestTriageFindingsIdentical(t *testing.T) {
+	jobs := triageTestJobs(t, 10, 25, 17)
+	base, err := Run(context.Background(), jobs, Config{Workers: 4, BaseSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	triaged, err := Run(context.Background(), jobs, Config{Workers: 4, BaseSeed: 7, Verdicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if triaged.Skipped < 4 {
+		t.Errorf("triage skipped %d jobs; the 4 trivial contracts are provably negative", triaged.Skipped)
+	}
+	if base.Skipped != 0 {
+		t.Errorf("baseline skipped %d jobs with triage disabled", base.Skipped)
+	}
+	if b, tr := base.FindingsDigest(), triaged.FindingsDigest(); b != tr {
+		t.Errorf("triage changed findings:\n--- baseline ---\n%s\n--- triage ---\n%s", b, tr)
+	}
+	again, err := Run(context.Background(), jobs, Config{Workers: 2, BaseSeed: 7, Verdicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if triaged.StateDigest() != again.StateDigest() {
+		t.Error("triage run not deterministic across worker counts")
+	}
+}
+
+// TestTriageNeverSkipsCandidates: the generated benchmark contracts write
+// to the database and send, so their on-chain-data classes stay Unknown
+// and they must run dynamically even under verdict triage.
+func TestTriageNeverSkipsCandidates(t *testing.T) {
+	jobs := testJobs(t, 5, 20, 23)
+	rep, err := Run(context.Background(), jobs, Config{Workers: 2, BaseSeed: 3, Verdicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped != 0 {
+		t.Errorf("triage skipped %d candidate-bearing contracts", rep.Skipped)
+	}
+}
+
+// TestTriageRespectsCustomDetectors pins verdictSkippable's observer
+// guards: a job with a custom detector, or one keeping its traces,
+// observes behaviour the verdicts say nothing about, so even a contract
+// with every class proven negative must run.
+func TestTriageRespectsCustomDetectors(t *testing.T) {
+	c := contractgen.Trivial()
+	rep := absint.Analyze(c.Module, abiActions(c.ABI))
+	job := Job{Module: c.Module, ABI: c.ABI}
+	if !verdictSkippable(job, rep) {
+		t.Fatal("trivial job without observers should be skippable")
+	}
+	job.Config.CustomDetectors = []scanner.CustomDetector{
+		scanner.NewAPICallDetector("probe", c.Module, "current_time"),
+	}
+	if verdictSkippable(job, rep) {
+		t.Error("job with a custom detector must not be skippable")
+	}
+	job.Config.CustomDetectors = nil
+	job.Config.KeepTraces = true
+	if verdictSkippable(job, rep) {
+		t.Error("job keeping traces must not be skippable")
+	}
+}
+
+// TestTriageRunsObservedJobs is the engine-level form of the observer
+// guards, on the streaming engine and on the adaptive driver: a trivial
+// job is skipped without an attempt, and the same job with a custom
+// detector or trace capture executes exactly once.
+func TestTriageRunsObservedJobs(t *testing.T) {
+	c := contractgen.Trivial()
+	rows := []struct {
+		name    string
+		observe func(*fuzz.Config)
+		skipped bool
+	}{
+		{"plain", func(*fuzz.Config) {}, true},
+		{"custom-detector", func(cfg *fuzz.Config) {
+			cfg.CustomDetectors = []scanner.CustomDetector{
+				scanner.NewAPICallDetector("probe", c.Module, "current_time"),
+			}
+		}, false},
+		{"keep-traces", func(cfg *fuzz.Config) { cfg.KeepTraces = true }, false},
+	}
+	for _, adaptive := range []bool{false, true} {
+		for _, row := range rows {
+			t.Run(fmt.Sprintf("%s/adaptive=%v", row.name, adaptive), func(t *testing.T) {
+				job := Job{Name: "trivial", Module: c.Module, ABI: c.ABI,
+					Config: fuzz.Config{Iterations: 5, SolverConflicts: 50_000}}
+				row.observe(&job.Config)
+				rep, err := Run(context.Background(), []Job{job}, Config{Workers: 1, Verdicts: true, Adaptive: adaptive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				jr := rep.Results[0]
+				if jr.Err != nil {
+					t.Fatal(jr.Err)
+				}
+				wantSkipped, wantAttempts := 0, 1
+				if row.skipped {
+					wantSkipped, wantAttempts = 1, 0
+				}
+				if rep.Skipped != wantSkipped || jr.Attempts != wantAttempts {
+					t.Errorf("Skipped=%d Attempts=%d, want Skipped=%d Attempts=%d",
+						rep.Skipped, jr.Attempts, wantSkipped, wantAttempts)
+				}
+			})
+		}
 	}
 }

@@ -1,32 +1,29 @@
 package campaign
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/abi"
 	"repro/internal/eos"
+	"repro/internal/fuzz"
 	"repro/internal/memo"
+	"repro/internal/scanner"
 	"repro/internal/static/absint"
 	"repro/internal/wasm"
 )
 
 // verdicts.go wires the abstract-interpretation verdict engine
-// (internal/static/absint) into campaign triage. The engine upgrades the
-// boolean candidate flags of internal/static to three-valued per-class
-// verdicts, and the campaign consumes exactly the two proof directions:
+// (internal/static/absint) into the campaign as its only pre-execution
+// triage. The engine proves three-valued per-class verdicts, and the
+// campaign consumes exactly the two proof directions:
 //
 //   - a job with every class ProvenNegative — the five trace-oracle
 //     classes and the three on-chain-data scenario classes — is answered
-//     with the same synthesized all-clean result a static-triage skip
-//     produces (each negative proof says the dynamic oracle cannot fire on
-//     any harness execution, scenario replays included, so the job's
-//     findings-digest line is unchanged);
+//     with a synthesized all-clean result (each negative proof says the
+//     dynamic oracle cannot fire on any harness execution, scenario
+//     replays included, so the job's findings-digest line is unchanged);
 //   - a job with any ProvenPositive class is scheduled confirmed-first
-//     (reordering is digest-invisible: seeds derive from job IDs) and
-//     skips the static budget raise — the positive witness already fits
-//     the base budget, so the raise would only add headroom the proof
-//     shows is not needed to surface the finding.
+//     (reordering is digest-invisible: seeds derive from job IDs).
 //
 // Everything else — Unknown verdicts, jobs with custom detectors or trace
 // capture — runs the full dynamic campaign unchanged.
@@ -40,8 +37,7 @@ type verdictKey struct {
 }
 
 // verdictCache memoizes absint analysis per (module, ABI) pointer pair in
-// front of the memo verdict tier, mirroring triageCache for the candidate
-// pass.
+// front of the memo verdict tier.
 type verdictCache struct {
 	mu sync.Mutex
 	//wasai:localcache pointer-identity fast path in front of the memo verdict tier
@@ -95,46 +91,31 @@ func verdictSkippable(job Job, rep *absint.Report) bool {
 	return len(job.Config.CustomDetectors) == 0 && !job.Config.KeepTraces
 }
 
-// confirmedFirstBoost outranks every static triage score (Score sums
-// bounded structural counts, far below 2^20), so proven-positive jobs
-// always schedule ahead of merely-suspicious ones.
-const confirmedFirstBoost = 1 << 20
+// skipResult synthesizes the outcome of a provably-negative job: the verdict
+// the dynamic run would have produced (all classes clean), zero work done.
+func skipResult(job Job) JobResult {
+	return JobResult{
+		Job:     job,
+		Skipped: true,
+		Result: &fuzz.Result{
+			Report: scanner.NewReport(),
+			Custom: map[string]bool{},
+		},
+	}
+}
 
-// orderJobs sorts jobs for scheduling: proven-positive jobs first
-// (confirmed findings surface immediately), then descending static triage
-// score (longest-job-first packing), ties broken by ascending ID. Either
-// cache may be nil. Reordering cannot change findings: seeds derive from
-// job IDs (which are preserved), results are indexed by ID, and jobs share
-// no state.
-func orderJobs(jobs []Job, t *triageCache, v *verdictCache) []Job {
-	type scored struct {
-		job   Job
-		score int
-	}
-	out := make([]scored, len(jobs))
-	for i, job := range jobs {
-		s := 0
-		if t != nil {
-			if rep := t.report(job.Module); rep != nil {
-				s = rep.Score()
-			}
+// orderJobs moves proven-positive jobs to the front (confirmed findings
+// surface immediately) and keeps the submission order within each part.
+// Reordering cannot change findings: seeds derive from job IDs (which are
+// preserved), results are indexed by ID, and jobs share no state.
+func orderJobs(jobs []Job, v *verdictCache) []Job {
+	var positive, rest []Job
+	for _, job := range jobs {
+		if rep := v.report(job); rep != nil && rep.AnyPositive() {
+			positive = append(positive, job)
+		} else {
+			rest = append(rest, job)
 		}
-		if v != nil {
-			if rep := v.report(job); rep != nil && rep.AnyPositive() {
-				s += confirmedFirstBoost
-			}
-		}
-		out[i] = scored{job: job, score: s}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
-		}
-		return out[i].job.ID < out[j].job.ID
-	})
-	ordered := make([]Job, len(out))
-	for i := range out {
-		ordered[i] = out[i].job
-	}
-	return ordered
+	return append(positive, rest...)
 }

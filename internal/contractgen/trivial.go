@@ -9,9 +9,9 @@ import (
 // Trivial builds the minimal deployable contract: an exported apply that
 // immediately returns, one page of memory, no dispatch table, no host
 // imports, no actions. It models the boilerplate contracts that dominate a
-// wild population — every static candidate flag is provably false for it
-// (so triage may skip it), and a dynamic campaign over it reports all
-// classes clean. Each call returns a fresh module.
+// wild population — every static candidate flag is provably false for it,
+// absint proves every class negative (so verdict triage skips it), and a
+// dynamic campaign over it reports all classes clean. Each call returns a fresh module.
 func Trivial() *Contract {
 	mod := &wasm.Module{
 		Types:    []wasm.FuncType{{Params: []wasm.ValType{wasm.I64, wasm.I64, wasm.I64}}},

@@ -15,7 +15,6 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/scanner"
 	"repro/internal/schedule"
-	"repro/internal/static"
 	"repro/internal/symbolic"
 	"repro/internal/symexec"
 	"repro/internal/trace"
@@ -56,12 +55,6 @@ type Config struct {
 	// Fuel overrides the per-action instruction budget of the campaign
 	// chain (0 keeps the chain default).
 	Fuel int64
-	// Static, when non-nil, budgets the campaign from the module's static
-	// pre-analysis: branchy contracts get their fuel and solver conflict
-	// caps raised (never lowered — the budgets are monotone over the
-	// defaults), so deep paths are not starved. An explicit Fuel wins over
-	// the static fuel budget.
-	Static *static.Report
 	// Faults, when non-nil, injects the planned fault into the campaign
 	// chain's host API and the solver pool (see internal/faultinject). A
 	// transaction error chaining to faultinject.ErrInjected escalates to a
@@ -234,11 +227,6 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	bc.Collector = trace.NewCollector()
 	if cfg.Fuel > 0 {
 		bc.Fuel = cfg.Fuel
-	} else if cfg.Static != nil {
-		bc.Fuel = cfg.Static.FuelBudget(bc.Fuel)
-	}
-	if cfg.Static != nil && cfg.SolverConflicts > 0 {
-		cfg.SolverConflicts = cfg.Static.SolverBudget(cfg.SolverConflicts)
 	}
 	// Compile the instrumented module once: the campaign chain and the
 	// scenario chain link their instances from it.

@@ -448,7 +448,9 @@ func (c *Cache) Module(bin []byte, decode func([]byte) (*wasm.Module, error)) (*
 // Static returns the static report for m, calling analyze on first
 // encounter of the module's content. A failed analysis is cached as a
 // nil report and replayed as (nil, nil) — callers already treat a nil
-// report as "no static information".
+// report as "no static information". The campaign engine does not call it
+// (its triage reads the verdict tier); the benchmark's traced pass in
+// perfbench/trace.go does.
 func (c *Cache) Static(m *wasm.Module, analyze func(*wasm.Module) (*static.Report, error)) (*static.Report, error) {
 	if c == nil {
 		rep, err := analyze(m)

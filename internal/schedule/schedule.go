@@ -15,7 +15,7 @@
 // Inter-job, Reallocate is the campaign fuel ledger: jobs that saturated
 // (no coverage delta over the saturation window) return their unspent
 // iterations to the campaign, which regrants them to still-progressing jobs
-// ordered by static triage score and observed coverage rate.
+// ordered by observed coverage rate.
 //
 // Everything here is a pure function of its inputs — no wall clock, no
 // unseeded randomness, no map iteration — which is what makes adaptive

@@ -139,9 +139,9 @@ func TestAddArmMidRun(t *testing.T) {
 func TestReallocatePoolsAndRanks(t *testing.T) {
 	phases := []JobPhase{
 		{ID: 0, Executed: true, Saturated: true, FuelUnspent: 90},
-		{ID: 1, Executed: true, StaticScore: 2000, Coverage: 10, Iterations: 100, MaxGrant: 100},
-		{ID: 2, Executed: true, StaticScore: 1000, Coverage: 30, Iterations: 100, MaxGrant: 100},
-		{ID: 3, Executed: false, StaticScore: 9000, MaxGrant: 100}, // skipped job: no fuel
+		{ID: 1, Executed: true, Coverage: 10, Iterations: 100, MaxGrant: 100},
+		{ID: 2, Executed: true, Coverage: 30, Iterations: 100, MaxGrant: 100},
+		{ID: 3, Executed: false, MaxGrant: 100}, // skipped job: no fuel
 		{ID: 4, Executed: true, Saturated: true, FuelUnspent: 10},
 	}
 	grants, stats := Reallocate(phases)
@@ -159,9 +159,9 @@ func TestReallocatePoolsAndRanks(t *testing.T) {
 func TestReallocateRemainderToHighestRank(t *testing.T) {
 	phases := []JobPhase{
 		{ID: 0, Executed: true, Saturated: true, FuelUnspent: 101},
-		// Equal static score: coverage rate breaks the tie (3/100 > 1/50).
-		{ID: 1, Executed: true, StaticScore: 1000, Coverage: 1, Iterations: 50, MaxGrant: 1000},
-		{ID: 2, Executed: true, StaticScore: 1000, Coverage: 3, Iterations: 100, MaxGrant: 1000},
+		// The higher coverage rate ranks first (3/100 > 1/50).
+		{ID: 1, Executed: true, Coverage: 1, Iterations: 50, MaxGrant: 1000},
+		{ID: 2, Executed: true, Coverage: 3, Iterations: 100, MaxGrant: 1000},
 	}
 	grants, _ := Reallocate(phases)
 	if !reflect.DeepEqual(grants, map[int]int{1: 50, 2: 51}) {
@@ -172,8 +172,8 @@ func TestReallocateRemainderToHighestRank(t *testing.T) {
 func TestReallocateCapsCascade(t *testing.T) {
 	phases := []JobPhase{
 		{ID: 0, Executed: true, Saturated: true, FuelUnspent: 100},
-		{ID: 1, Executed: true, StaticScore: 2000, MaxGrant: 10},
-		{ID: 2, Executed: true, StaticScore: 1000, MaxGrant: 60},
+		{ID: 1, Executed: true, MaxGrant: 10},
+		{ID: 2, Executed: true, MaxGrant: 60},
 	}
 	grants, stats := Reallocate(phases)
 	// Job 1 absorbs its cap; the overflow cascades to job 2 up to its cap;
@@ -199,10 +199,10 @@ func TestReallocateNoDonorsOrNoRecipients(t *testing.T) {
 // summaries in completion order.
 func TestReallocateOrderInvariant(t *testing.T) {
 	phases := []JobPhase{
-		{ID: 3, Executed: true, StaticScore: 500, Coverage: 2, Iterations: 40, MaxGrant: 30},
+		{ID: 3, Executed: true, Coverage: 2, Iterations: 40, MaxGrant: 30},
 		{ID: 0, Executed: true, Saturated: true, FuelUnspent: 77},
-		{ID: 2, Executed: true, StaticScore: 500, Coverage: 2, Iterations: 40, MaxGrant: 30},
-		{ID: 1, Executed: true, StaticScore: 900, Coverage: 0, Iterations: 40, MaxGrant: 30},
+		{ID: 2, Executed: true, Coverage: 2, Iterations: 40, MaxGrant: 30},
+		{ID: 1, Executed: true, Coverage: 0, Iterations: 40, MaxGrant: 30},
 	}
 	want, wantStats := Reallocate(phases)
 	for shift := 1; shift < len(phases); shift++ {
@@ -235,9 +235,9 @@ func TestCountersAddAndZero(t *testing.T) {
 // themselves (same ranking) instead of evaporating.
 func TestReallocateSecondWind(t *testing.T) {
 	phases := []JobPhase{
-		{ID: 0, Executed: true, Saturated: true, FuelUnspent: 60, StaticScore: 100, Coverage: 5, Iterations: 40, MaxGrant: 100},
-		{ID: 1, Executed: true, Saturated: true, FuelUnspent: 40, StaticScore: 900, Coverage: 1, Iterations: 40, MaxGrant: 100},
-		{ID: 2, Executed: false, StaticScore: 9999, MaxGrant: 100}, // replayed/skipped: still no fuel
+		{ID: 0, Executed: true, Saturated: true, FuelUnspent: 60, Coverage: 5, Iterations: 40, MaxGrant: 100},
+		{ID: 1, Executed: true, Saturated: true, FuelUnspent: 40, Coverage: 1, Iterations: 40, MaxGrant: 100},
+		{ID: 2, Executed: false, MaxGrant: 100}, // replayed/skipped: still no fuel
 	}
 	grants, stats := Reallocate(phases)
 	if !reflect.DeepEqual(grants, map[int]int{0: 50, 1: 50}) {
@@ -248,7 +248,7 @@ func TestReallocateSecondWind(t *testing.T) {
 	}
 	// A single still-progressing job suppresses the second wind: the pool
 	// goes to it alone.
-	phases[2] = JobPhase{ID: 2, Executed: true, StaticScore: 1, Coverage: 1, Iterations: 10, MaxGrant: 100}
+	phases[2] = JobPhase{ID: 2, Executed: true, Coverage: 1, Iterations: 10, MaxGrant: 100}
 	grants, stats = Reallocate(phases)
 	if !reflect.DeepEqual(grants, map[int]int{2: 100}) {
 		t.Fatalf("grants = %v, want the progressing job to take the whole pool", grants)

@@ -44,9 +44,8 @@ type JobSpec struct {
 	// attempts (see internal/faultinject) — the chaos-testing surface.
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	// Engine toggles; all digest-neutral.
-	Memo         string `json:"memo,omitempty"`
-	Verdicts     bool   `json:"verdicts,omitempty"`
-	StaticTriage bool   `json:"static_triage,omitempty"`
+	Memo     string `json:"memo,omitempty"`
+	Verdicts bool   `json:"verdicts,omitempty"`
 	// Adaptive turns on the coverage-driven scheduling layer (power
 	// schedules + campaign fuel ledger). Not digest-neutral against a
 	// non-adaptive run — it changes which inputs are fuzzed — but still
@@ -109,16 +108,15 @@ func BuildJobs(spec JobSpec) ([]campaign.Job, error) {
 func CampaignConfig(spec JobSpec, journal string, resume bool, cache *memo.Cache) campaign.Config {
 	mode, _ := memo.ParseMode(spec.Memo) // Validate already vetted it
 	cfg := campaign.Config{
-		Workers:      spec.Workers,
-		BaseSeed:     spec.Seed,
-		JobTimeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
-		Retry:        campaign.RetryPolicy{MaxAttempts: spec.MaxAttempts},
-		Journal:      journal,
-		Resume:       resume,
-		Memo:         mode,
-		Verdicts:     spec.Verdicts,
-		StaticTriage: spec.StaticTriage,
-		Adaptive:     spec.Adaptive,
+		Workers:    spec.Workers,
+		BaseSeed:   spec.Seed,
+		JobTimeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
+		Retry:      campaign.RetryPolicy{MaxAttempts: spec.MaxAttempts},
+		Journal:    journal,
+		Resume:     resume,
+		Memo:       mode,
+		Verdicts:   spec.Verdicts,
+		Adaptive:   spec.Adaptive,
 	}
 	if cache != nil && mode != memo.ModeOff {
 		cfg.MemoCache = cache

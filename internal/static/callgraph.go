@@ -28,8 +28,8 @@ type CallGraph struct {
 }
 
 // BuildCallGraph constructs the call graph. Out-of-range call targets are
-// ignored rather than failed: the module may be malformed, and triage must
-// degrade to over-approximation, not error, wherever it safely can.
+// ignored rather than failed: the module may be malformed, and the analysis
+// must degrade to over-approximation, not error, wherever it safely can.
 func BuildCallGraph(m *wasm.Module) *CallGraph {
 	g := &CallGraph{
 		NumFuncs:    m.NumFuncs(),

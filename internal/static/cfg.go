@@ -5,17 +5,19 @@
 // intra-procedural taint pass from action-data sources to the host-API
 // sinks the paper's five oracles reason about.
 //
-// Its purpose is triage: WASAI (the source paper) pays full concolic-fuzzing
-// cost on every contract, even when the interesting behaviour is statically
-// obvious or statically impossible. EOSAFE demonstrates that the same
-// vulnerability classes can be localized cheaply from Wasm bytecode alone;
-// this package computes the sound fraction of that signal (necessary
-// conditions for each dynamic oracle) and a heuristic priority score, and
-// the campaign engine uses them to skip provably-negative oracle/contract
-// pairs and to order work. Soundness contract: a candidate flag may be a
-// false positive (the fuzzer then finds nothing) but never a false negative
-// with respect to internal/scanner's trace oracles — skipping is allowed
-// only when the oracle provably cannot fire.
+// WASAI (the source paper) pays full concolic-fuzzing cost on every
+// contract, even when the interesting behaviour is statically obvious or
+// statically impossible. EOSAFE demonstrates that the same vulnerability
+// classes can be localized cheaply from Wasm bytecode alone; this package
+// computes the sound fraction of that signal (necessary conditions for each
+// dynamic oracle) and a heuristic priority score. The campaign engine does
+// not consume them: its only pre-execution triage is the verdict engine of
+// internal/static/absint, which proves every negative these flags prove
+// (internal/bench's TestStaticNegativesAreAbsintNegatives and the
+// `wasai-bench -exp verdict` gate hold it to that). The flags are public
+// through wasai.AnalyzeStatic. Soundness contract: a candidate flag may be
+// a false positive (the fuzzer then finds nothing) but never a false
+// negative with respect to internal/scanner's trace oracles.
 package static
 
 import (
@@ -44,7 +46,7 @@ type CFG struct {
 	Blocks []Block
 	// Branches counts the conditional branch sites (if, br_if and each
 	// br_table with more than one distinct target) — the unit of the
-	// fuzzer's coverage metric and of the triage cost estimate.
+	// fuzzer's coverage metric and of Report.Score's cost estimate.
 	Branches int
 }
 

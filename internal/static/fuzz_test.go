@@ -15,8 +15,8 @@ import (
 // FuzzCFG feeds arbitrary bytes through the code-section entry decoder into
 // the CFG builder: malformed input must return an error, never panic, and a
 // successfully built graph must satisfy the partition invariants (the
-// properties the campaign triage path depends on when it walks modules from
-// the wild).
+// properties the static pass depends on when it walks modules from the
+// wild).
 func FuzzCFG(f *testing.F) {
 	f.Add([]byte{0x00, 0x0b})       // no locals, bare end
 	f.Add([]byte{0x00, 0x01, 0x0b}) // nop; end

@@ -98,8 +98,8 @@ var (
 // Analyze runs the full static pass: CFG per function, call graph,
 // reachability from the exported entry points, taint, and the per-class
 // candidate flags. The module should be Decode+Validate clean; malformed
-// bodies fail with an error (and the caller then falls back to dynamic
-// analysis — triage must never hide a contract it cannot model).
+// bodies fail with an error: a contract the pass cannot model gets no
+// static information, never an all-negative report.
 func Analyze(m *wasm.Module) (*Report, error) {
 	r := &Report{
 		NumFuncs:   m.NumFuncs(),
@@ -261,11 +261,10 @@ func (r *Report) AnyCandidate() bool {
 	return false
 }
 
-// Score is the triage priority: an estimate of how much dynamic work the
-// contract deserves. Candidate classes dominate (a contract that can
-// exhibit more oracle classes is fuzzed first), tainted sinks and branch
-// counts break ties — which doubles as longest-job-first scheduling, since
-// branchy contracts cost the fuzzer most.
+// Score estimates how much dynamic work the contract deserves. Candidate
+// classes dominate (a contract that can exhibit more oracle classes ranks
+// higher), tainted sinks and branch counts break ties. It is reported
+// through wasai.StaticReport; the campaign engine does not read it.
 func (r *Report) Score() int {
 	score := 0
 	for _, c := range candidateClasses {
@@ -276,29 +275,6 @@ func (r *Report) Score() int {
 	score += 50 * len(r.TaintedSinks)
 	score += r.Branches
 	return score
-}
-
-// FuelBudget scales the per-action instruction budget by the contract's
-// reachable branch count, never below base: simple contracts keep the
-// default, branchy contracts get headroom so deep paths are not starved by
-// premature fuel exhaustion. Raising (and never lowering) the budget keeps
-// the oracle verdicts of budgeted runs a superset of default runs.
-func (r *Report) FuelBudget(base int64) int64 {
-	scale := int64(1 + r.Branches/64)
-	if scale > 4 {
-		scale = 4
-	}
-	return base * scale
-}
-
-// SolverBudget scales the per-query SMT conflict cap by branch count,
-// never below base (same monotonicity argument as FuelBudget).
-func (r *Report) SolverBudget(base int64) int64 {
-	scale := int64(1 + r.Branches/128)
-	if scale > 2 {
-		scale = 2
-	}
-	return base * scale
 }
 
 // String renders the report canonically: every collection is sorted, so two

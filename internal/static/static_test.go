@@ -56,10 +56,10 @@ func TestAnalyzeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCandidateSoundnessOnCorpus is the triage soundness check at the
-// static level: every ground-truth-vulnerable generated contract must carry
-// the candidate flag of its class (the flag is a necessary condition for
-// the dynamic oracle, and the oracle does fire on these contracts).
+// TestCandidateSoundnessOnCorpus is the candidate-flag soundness check:
+// every ground-truth-vulnerable generated contract must carry the
+// candidate flag of its class (the flag is a necessary condition for the
+// dynamic oracle, and the oracle does fire on these contracts).
 func TestCandidateSoundnessOnCorpus(t *testing.T) {
 	for i, class := range contractgen.Classes {
 		for seed := int64(0); seed < 3; seed++ {
@@ -82,8 +82,7 @@ func TestCandidateSoundnessOnCorpus(t *testing.T) {
 }
 
 // TestAnalyzeTrivial checks the provably-negative end: the action-less
-// boilerplate contract has no candidate for any class, so triage may skip
-// it entirely.
+// boilerplate contract has no candidate for any class.
 func TestAnalyzeTrivial(t *testing.T) {
 	c := contractgen.Trivial()
 	if err := wasm.Validate(c.Module); err != nil {
@@ -146,19 +145,5 @@ func TestReachabilityRespectsExports(t *testing.T) {
 	}
 	if !rep.Candidates[contractgen.ClassRollback] {
 		t.Errorf("reachable send_inline not flagged as Rollback candidate:\n%s", rep)
-	}
-}
-
-// TestBudgetsNeverLower pins the monotonicity the budgeting consumers rely
-// on: whatever the branch count, the fuel and solver budgets are >= base.
-func TestBudgetsNeverLower(t *testing.T) {
-	for _, branches := range []int{0, 1, 63, 64, 1000, 1 << 20} {
-		r := &static.Report{Branches: branches}
-		if got := r.FuelBudget(20_000_000); got < 20_000_000 {
-			t.Errorf("branches=%d: fuel budget %d below base", branches, got)
-		}
-		if got := r.SolverBudget(50_000); got < 50_000 {
-			t.Errorf("branches=%d: solver budget %d below base", branches, got)
-		}
 	}
 }

@@ -23,10 +23,10 @@ type StaticCandidate struct {
 }
 
 // StaticReport is the pre-execution analysis of one contract: candidate
-// flags for the five vulnerability classes, the host APIs reachable from its
-// exported entry points, and cost metrics for scheduling. It is computed
-// from bytecode alone — no chain, no execution — and is what batch triage
-// (BatchConfig.StaticTriage) consults.
+// flags per vulnerability class, the host APIs reachable from its exported
+// entry points, and cost metrics. It is computed from bytecode alone — no
+// chain, no execution. Batch triage does not consult it: Verdicts proves
+// negative every class whose candidate flag is false, and more.
 type StaticReport struct {
 	// Candidates holds one entry per vulnerability class, in the paper's
 	// table order.
@@ -40,7 +40,8 @@ type StaticReport struct {
 	// Branches and Complexity total the reachable conditional branch sites
 	// and cyclomatic complexity — the fuzzing cost estimate.
 	Branches, Complexity int
-	// Score is the triage priority (higher = fuzz first).
+	// Score estimates how much fuzzing the contract deserves (higher =
+	// more).
 	Score int
 }
 
@@ -56,8 +57,8 @@ func (r *StaticReport) AnyCandidate() bool {
 
 // AnalyzeStatic runs the static pre-analysis over a contract binary: decode,
 // validate, then internal/static's CFG + call-graph + reachability + taint
-// pass. No execution happens; use it to triage a population before paying
-// for Analyze, or let AnalyzeBatch do so via BatchConfig.StaticTriage.
+// pass. No execution happens. To skip provably clean contracts in a batch,
+// set Config.Verdicts; AnalyzeVerdicts reports the proofs it skips on.
 func AnalyzeStatic(wasmBin []byte) (*StaticReport, error) {
 	mod, err := wasm.Decode(wasmBin)
 	if err != nil {
@@ -92,8 +93,8 @@ type ClassVerdict struct {
 // VerdictReport is the abstract-interpretation analysis of one contract:
 // a three-valued verdict per vulnerability class plus the prover's
 // coverage facts. Like StaticReport it is computed from bytecode alone —
-// no chain, no execution — and is what verdict triage
-// (BatchConfig.Verdicts) consults.
+// no chain, no execution — and is what batch triage (Config.Verdicts)
+// consults.
 type VerdictReport struct {
 	// Verdicts holds one entry per vulnerability class, in the paper's
 	// table order.

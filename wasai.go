@@ -193,37 +193,15 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 	for _, d := range cfg.CustomAPIDetectors {
 		customs = append(customs, scanner.NewAPICallDetector(d.Name, mod, d.APIs...))
 	}
-	mode, err := memo.ParseMode(cfg.Memo)
-	if err != nil {
-		return nil, fmt.Errorf("wasai: %w", err)
-	}
 	// Even a single campaign profits from the solver tier: the concolic
 	// loop re-solves unflippable branch queries every time coverage grows.
-	cache := memo.ForMode(mode)
-	if cfg.StoreDir != "" {
-		disk, err := store.OpenShared(store.Options{Dir: cfg.StoreDir})
-		if err != nil {
-			return nil, fmt.Errorf("wasai: memo store: %w", err)
-		}
-		if mode == memo.ModeShared {
-			// Never attach the store to the plain shared cache — that
-			// would leak this run's disk tier into every later shared
-			// campaign. Each store gets its own process-wide cache.
-			cache = memo.SharedWithDisk(disk)
-		} else {
-			if cache == nil {
-				cache = memo.New() // StoreDir implies memoization
-			}
-			cache.AttachDisk(disk)
-		}
+	cache, err := cfg.openMemo()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Verdicts && len(customs) == 0 && cfg.TraceFile == "" {
 		if vr := cache.Verdict(mod, actionNames(contractABI), absint.Analyze); vr.AllNegative() {
-			report := &Report{Custom: map[string]bool{}}
-			for _, class := range contractgen.Classes {
-				report.Findings = append(report.Findings, Finding{Class: class.String()})
-			}
-			return report, nil
+			return newReport(&fuzz.Result{Report: scanner.NewReport(), Custom: map[string]bool{}}), nil
 		}
 	}
 	f, err := fuzz.New(mod, contractABI, fuzz.Config{
@@ -254,6 +232,40 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 			return nil, fmt.Errorf("wasai: write traces: %w", err)
 		}
 	}
+	return newReport(res), nil
+}
+
+// openMemo resolves the configuration's memo cache: nil when memoization
+// is off and no StoreDir is set. StoreDir backs the cache with the shared
+// disk store and implies memoization (a private cache when Memo is off).
+// Memo="shared" then uses the per-store shared cache, never the plain
+// process-wide one: attaching the store there would leak this run's disk
+// tier into every later shared campaign (see memo.SharedWithDisk).
+func (cfg Config) openMemo() (*memo.Cache, error) {
+	mode, err := memo.ParseMode(cfg.Memo)
+	if err != nil {
+		return nil, fmt.Errorf("wasai: %w", err)
+	}
+	if cfg.StoreDir == "" {
+		return memo.ForMode(mode), nil
+	}
+	disk, err := store.OpenShared(store.Options{Dir: cfg.StoreDir})
+	if err != nil {
+		return nil, fmt.Errorf("wasai: memo store: %w", err)
+	}
+	if mode == memo.ModeShared {
+		return memo.SharedWithDisk(disk), nil
+	}
+	cache := memo.ForMode(mode)
+	if cache == nil {
+		cache = memo.New()
+	}
+	cache.AttachDisk(disk)
+	return cache, nil
+}
+
+// newReport converts a campaign result to the public report.
+func newReport(res *fuzz.Result) *Report {
 	report := &Report{
 		Coverage:      res.Coverage,
 		AdaptiveSeeds: res.AdaptiveSeeds,
@@ -266,5 +278,5 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 			Vulnerable: res.Report.Vulnerable[class],
 		})
 	}
-	return report, nil
+	return report
 }
