@@ -136,6 +136,10 @@ type CampaignReport struct {
 	// composite arms fired, saturation skips, and the campaign fuel-ledger
 	// flows. Zero unless BatchConfig.Adaptive.
 	Sched schedule.Counters
+	// JournalErr is the checkpoint journal's failure (BatchConfig.Journal),
+	// if any: the findings are complete, but resuming from that journal is
+	// not safe.
+	JournalErr error
 }
 
 // AnalyzeBatch fuzzes every contract of the batch on a worker pool and
@@ -164,25 +168,18 @@ func AnalyzeBatch(ctx context.Context, jobs []BatchJob, cfg BatchConfig) (*Campa
 // desired, then Wait for the aggregate.
 type Campaign struct {
 	cfg     BatchConfig
-	eng     *campaign.Engine // nil in adaptive (buffered) mode
-	memo    *memo.Cache      // the engine's cache; Submit decodes through it
+	eng     *campaign.Engine
+	memo    *memo.Cache // the engine's cache; Submit decodes through it
 	start   time.Time
 	submits int
 
-	// Adaptive campaigns need a barrier between the fuel-ledger phases,
-	// which a streaming pool cannot provide: submissions are buffered here
-	// and the two-phase driver runs at Wait.
-	ctx     context.Context
-	ccfg    campaign.Config
-	pending []campaign.Job
+	mu      sync.Mutex
+	cond    *sync.Cond
+	results []campaign.JobResult // every collected result (completion order)
+	closed  bool                 // the collector has seen the last result
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	all    []BatchResult // every collected result (completion order)
-	buf    []BatchResult // pending delivery to the streaming channel
-	closed bool          // the collector has seen the last result
-
-	out chan BatchResult
+	stream sync.Once
+	out    chan BatchResult
 }
 
 // NewCampaign starts a worker pool for a streaming batch analysis. Cancel
@@ -194,7 +191,7 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccfg := campaign.Config{
+	eng, err := campaign.Start(ctx, campaign.Config{
 		Workers:          cfg.Workers,
 		QueueDepth:       cfg.QueueDepth,
 		JobTimeout:       cfg.JobTimeout,
@@ -206,24 +203,7 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		MemoCache:        memoCache,
 		Adaptive:         cfg.Adaptive,
 		SaturationWindow: cfg.SaturationWindow,
-	}
-	if cfg.Adaptive {
-		// Buffered mode: the fuel ledger needs every job at a barrier, so
-		// Submit only collects and decodes; the two-phase driver runs at
-		// Wait. Submit-time module decoding shares the cache the driver
-		// will use.
-		c := &Campaign{
-			cfg:   cfg,
-			start: time.Now(),
-			out:   make(chan BatchResult),
-			ctx:   ctx,
-			ccfg:  ccfg,
-			memo:  memoCache,
-		}
-		c.cond = sync.NewCond(&c.mu)
-		return c, nil
-	}
-	eng, err := campaign.Start(ctx, ccfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("wasai: %w", err)
 	}
@@ -236,13 +216,14 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 	// Collector: drains the engine without ever blocking on the consumer,
-	// so an unconsumed Results channel cannot stall the workers.
+	// so an unconsumed Results channel cannot stall the workers. A kept
+	// result drops its job's module, ABI and detectors: only the ID and
+	// name are read again.
 	go func() {
 		for jr := range c.eng.Results() {
-			br := toBatchResult(jr)
+			jr.Job = campaign.Job{ID: jr.Job.ID, Name: jr.Job.Name}
 			c.mu.Lock()
-			c.all = append(c.all, br)
-			c.buf = append(c.buf, br)
+			c.results = append(c.results, jr)
 			c.cond.Broadcast()
 			c.mu.Unlock()
 		}
@@ -251,31 +232,12 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}()
-	// Forwarder: feeds the streaming channel from the buffer and closes it
-	// once the collector is done and the buffer is drained.
-	go func() {
-		for {
-			c.mu.Lock()
-			for len(c.buf) == 0 && !c.closed {
-				c.cond.Wait()
-			}
-			if len(c.buf) == 0 {
-				c.mu.Unlock()
-				close(c.out)
-				return
-			}
-			br := c.buf[0]
-			c.buf = c.buf[1:]
-			c.mu.Unlock()
-			c.out <- br
-		}
-	}()
 	return c, nil
 }
 
 // Submit enqueues one contract. It decodes eagerly so malformed binaries
 // fail fast (before occupying a worker) and blocks while the bounded queue
-// is full.
+// is full. It fails once the context is cancelled or Wait has been called.
 func (c *Campaign) Submit(job BatchJob) error {
 	index := c.submits
 	mod := job.Module
@@ -331,14 +293,6 @@ func (c *Campaign) Submit(job BatchJob) error {
 			SaturationWindow: jcfg.SaturationWindow,
 		},
 	}
-	if c.eng == nil { // adaptive buffered mode
-		if err := c.ctx.Err(); err != nil {
-			return fmt.Errorf("wasai: submit: %w", err)
-		}
-		c.pending = append(c.pending, cjob)
-		c.submits++
-		return nil
-	}
 	if err := c.eng.Submit(cjob); err != nil {
 		return err
 	}
@@ -346,112 +300,78 @@ func (c *Campaign) Submit(job BatchJob) error {
 	return nil
 }
 
-// Results streams per-contract outcomes in completion order. The channel
-// closes once Wait has been called (or the context cancelled) and every
-// submitted job has been delivered. Consuming it is optional.
-func (c *Campaign) Results() <-chan BatchResult { return c.out }
+// Results streams per-contract outcomes in completion order. The first
+// call starts the stream, and its caller must drain the channel until it
+// closes, which happens once Wait has been called and every submitted
+// contract has been delivered. An adaptive batch delivers its fuzzed
+// contracts only after Wait has been called: the fuel ledger regrants
+// iterations once every contract has settled. Consuming Results is
+// optional; Wait never takes results from it.
+func (c *Campaign) Results() <-chan BatchResult {
+	c.stream.Do(func() {
+		go func() {
+			for i := 0; ; i++ {
+				c.mu.Lock()
+				for i == len(c.results) && !c.closed {
+					c.cond.Wait()
+				}
+				if i == len(c.results) {
+					c.mu.Unlock()
+					close(c.out)
+					return
+				}
+				jr := c.results[i]
+				c.mu.Unlock()
+				c.out <- toBatchResult(jr)
+			}
+		}()
+	})
+	return c.out
+}
 
 // Wait ends submission, waits for every job, and returns the aggregate
-// with Jobs in submission order. Unconsumed streaming results are drained.
-// In adaptive mode this is where the buffered jobs actually run.
+// with Jobs in submission order. Submit fails after Wait.
 func (c *Campaign) Wait() *CampaignReport {
-	if c.eng == nil {
-		return c.waitAdaptive()
-	}
 	c.eng.Close()
-	for range c.out { // returns once the forwarder closes the channel
-	}
 	c.mu.Lock()
-	all := c.all
+	for !c.closed {
+		c.cond.Wait()
+	}
+	collected := c.results
 	c.mu.Unlock()
 
+	results := make([]campaign.JobResult, c.submits)
+	for _, jr := range collected {
+		results[jr.Job.ID] = jr
+	}
+	rep := c.eng.Report(results, time.Since(c.start))
 	report := &CampaignReport{
-		Jobs:       make([]BatchResult, c.submits),
-		PerClass:   map[string]int{},
-		PerFailure: map[string]int{},
+		Jobs:          make([]BatchResult, len(results)),
+		Completed:     rep.Completed,
+		Failed:        rep.Failed,
+		Flagged:       rep.Flagged,
+		Skipped:       rep.Skipped,
+		Degraded:      rep.Degraded,
+		Retried:       rep.Retried,
+		Replayed:      rep.Replayed,
+		PerClass:      map[string]int{},
+		PerFailure:    map[string]int{},
+		Wall:          rep.Wall,
+		JobsPerSecond: rep.JobsPerSecond,
+		Memo:          rep.Memo,
+		Sched:         rep.Sched,
+		JournalErr:    c.eng.JournalErr(),
 	}
-	for _, br := range all {
-		report.Jobs[br.Index] = br
+	for i, jr := range results {
+		report.Jobs[i] = toBatchResult(jr)
 	}
-	c.tally(report)
-	report.Memo = c.eng.MemoStats()
+	for class, n := range rep.PerClass {
+		report.PerClass[class.String()] = n
+	}
+	for class, n := range rep.PerFailure {
+		report.PerFailure[class.String()] = n
+	}
 	return report
-}
-
-// waitAdaptive runs the buffered jobs through the two-phase fuel-ledger
-// driver, streams their results, and aggregates. A driver-level failure
-// (cancelled context, unwritable journal) lands on every job: the batch
-// has no per-job outcomes to report in that case.
-func (c *Campaign) waitAdaptive() *CampaignReport {
-	rep, err := campaign.Run(c.ctx, c.pending, c.ccfg)
-	report := &CampaignReport{
-		Jobs:       make([]BatchResult, c.submits),
-		PerClass:   map[string]int{},
-		PerFailure: map[string]int{},
-	}
-	if err != nil {
-		for i := range report.Jobs {
-			br := BatchResult{Index: i, Err: err, FailureClass: failure.ClassOf(err).String()}
-			if i < len(c.pending) {
-				br.Name = c.pending[i].Name
-			}
-			report.Jobs[i] = br
-		}
-	} else {
-		for _, jr := range rep.Results {
-			report.Jobs[jr.Job.ID] = toBatchResult(jr)
-		}
-		report.Memo = rep.Memo
-		report.Sched = rep.Sched
-	}
-	// Deliver the streaming channel late but completely: adaptive results
-	// only exist after the barrier-phase run.
-	go func() {
-		for _, br := range report.Jobs {
-			c.out <- br
-		}
-		close(c.out)
-	}()
-	for range c.out { // drain whatever no external consumer took
-	}
-	c.tally(report)
-	return report
-}
-
-// tally fills the aggregate counters of a report whose Jobs are in place.
-func (c *Campaign) tally(report *CampaignReport) {
-	for _, br := range report.Jobs {
-		if br.Attempts > 1 {
-			report.Retried++
-		}
-		if br.Replayed {
-			report.Replayed++
-		}
-		if br.Err != nil {
-			report.Failed++
-			report.PerFailure[br.FailureClass]++
-			continue
-		}
-		report.Completed++
-		if br.Skipped {
-			report.Skipped++
-		}
-		if br.DegradedMode != "" {
-			report.Degraded++
-		}
-		if br.Report.Vulnerable() {
-			report.Flagged++
-		}
-		for _, f := range br.Report.Findings {
-			if f.Vulnerable {
-				report.PerClass[f.Class]++
-			}
-		}
-	}
-	report.Wall = time.Since(c.start)
-	if secs := report.Wall.Seconds(); secs > 0 {
-		report.JobsPerSecond = float64(len(report.Jobs)) / secs
-	}
 }
 
 // toBatchResult converts an engine result to the public form.

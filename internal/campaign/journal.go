@@ -216,7 +216,7 @@ func (w *journalWriter) fail(err error) {
 	}
 }
 
-// Err returns the sticky first write failure, if any.
+// Err returns the sticky first failure, if any.
 func (w *journalWriter) Err() error {
 	w.mu.Lock()
 	err := w.err
@@ -230,7 +230,13 @@ func (w *journalWriter) Err() error {
 	return nil
 }
 
-func (w *journalWriter) Close() error { return w.log.Close() }
+// Close syncs and closes the journal. A failure sticks like a write
+// failure: the records the final fsync did not cover may be lost.
+func (w *journalWriter) Close() {
+	if err := w.log.Close(); err != nil {
+		w.fail(fmt.Errorf("campaign: journal: %w", err))
+	}
+}
 
 // decodeJournal converts replayed WAL payloads into the journaled job map.
 // Records that fail to unmarshal are dropped (the WAL already CRC-checked

@@ -50,8 +50,8 @@ type Report struct {
 	// hit counts scheduling-dependent (see internal/memo).
 	Memo *memo.Stats
 	// Sched sums the adaptive scheduler's counters across completed jobs,
-	// plus the campaign fuel-ledger totals (filled by the adaptive driver).
-	// Zero when Adaptive is off.
+	// plus the campaign fuel-ledger totals (added by Engine.Report, which
+	// Run calls). Zero when Adaptive is off.
 	Sched schedule.Counters
 	// Wall is the batch wall-clock time; JobsPerSecond the throughput.
 	Wall          time.Duration

@@ -228,3 +228,45 @@ func TestFreshRunTruncatesJournal(t *testing.T) {
 		t.Fatal("fresh journaled run kept the stale journal contents")
 	}
 }
+
+// TestJournalFailureReachesCaller: a journal that fails under a running
+// engine, at a record write or only at the final fsync and close, reports
+// the failure through JournalErr once Results has closed, and every job is
+// still delivered. The failure is forced by closing the journal's file
+// under the engine.
+func TestJournalFailureReachesCaller(t *testing.T) {
+	for _, n := range []int{3, 0} {
+		name := "write"
+		if n == 0 {
+			name = "close" // no record is written, so only the close fails
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Workers: 2, Journal: filepath.Join(t.TempDir(), "j.jsonl")}
+			e, err := Start(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.jw.log.Close()
+			for i, job := range testJobs(t, n, 10, 3) {
+				job.ID = i
+				if err := e.Submit(job); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Close()
+			delivered := 0
+			for jr := range e.Results() {
+				if jr.Err != nil {
+					t.Errorf("job %d: %v", jr.Job.ID, jr.Err)
+				}
+				delivered++
+			}
+			if delivered != n {
+				t.Errorf("delivered %d jobs, want %d", delivered, n)
+			}
+			if err := e.JournalErr(); err == nil {
+				t.Fatal("the journal failure did not reach JournalErr")
+			}
+		})
+	}
+}

@@ -285,7 +285,7 @@ func TestTriageRespectsCustomDetectors(t *testing.T) {
 }
 
 // TestTriageRunsObservedJobs is the engine-level form of the observer
-// guards, on the streaming engine and on the adaptive driver: a trivial
+// guards, with Adaptive off and on: a trivial
 // job is skipped without an attempt, and the same job with a custom
 // detector or trace capture executes exactly once.
 func TestTriageRunsObservedJobs(t *testing.T) {
