@@ -115,6 +115,10 @@ ARGS ?=
 profile:
 	$(GO) run ./cmd/wasai-bench -exp $(EXP) $(ARGS) -cpuprofile cpu.pprof -memprofile mem.pprof
 
+# The perfbench smoke test (its own module, so `./...` never runs it) runs
+# every benchmark workload on two seeds, untraced and traced, so a change
+# to an API the benchmark uses cannot break its runs unnoticed.
 verify: build lint chaos serve-chaos bench-regress fastvm verdict onchain adaptive
 	$(GO) test ./...
+	$(GO) -C perfbench test ./...
 	$(GO) test -race ./...

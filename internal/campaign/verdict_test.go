@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/contractgen"
@@ -82,6 +83,50 @@ func TestVerdictDigestInvariance(t *testing.T) {
 // must execute; boilerplate contracts with no host intrinsics are the
 // fully-provable population, mirroring the wild distribution where
 // trivial contracts dominate.
+// TestVerdictCacheConcurrent: workers asking for the reports of distinct
+// modules at once, each in its own order, all get the one report of each
+// module, and each module is analyzed once: the memo counts one verdict
+// miss per module. Run it under -race.
+func TestVerdictCacheConcurrent(t *testing.T) {
+	jobs := testJobs(t, 5, 1, 9)
+	mc := memo.New()
+	v := newVerdictCache(mc)
+	const workers = 8
+	got := make([][]*absint.Report, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]*absint.Report, len(jobs))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range jobs {
+				j := (i + w) % len(jobs)
+				got[w][j] = v.report(jobs[j])
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := map[*absint.Report]int{}
+	for j := range jobs {
+		rep := got[0][j]
+		if rep == nil {
+			t.Fatalf("module %d: no report", j)
+		}
+		for w := range got {
+			if got[w][j] != rep {
+				t.Errorf("module %d: worker %d got report %p, worker 0 %p", j, w, got[w][j], rep)
+			}
+		}
+		if prev, dup := seen[rep]; dup {
+			t.Errorf("modules %d and %d share a report", prev, j)
+		}
+		seen[rep] = j
+	}
+	if misses := mc.Snapshot().VerdictMisses; misses != int64(len(jobs)) {
+		t.Errorf("memo counted %d verdict misses, want %d (one per module)", misses, len(jobs))
+	}
+}
+
 func TestVerdictResolvesJobs(t *testing.T) {
 	mk := func() []Job {
 		jobs := testJobs(t, 16, 30, 13)

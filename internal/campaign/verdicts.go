@@ -37,16 +37,26 @@ type verdictKey struct {
 }
 
 // verdictCache memoizes absint analysis per (module, ABI) pointer pair in
-// front of the memo verdict tier.
+// front of the memo verdict tier. The mutex guards only the map: each
+// key's analysis runs once, outside it, so a worker that needs one
+// module's report never waits behind another module's analysis.
 type verdictCache struct {
 	mu sync.Mutex
 	//wasai:localcache pointer-identity fast path in front of the memo verdict tier
-	reports map[verdictKey]*absint.Report
+	reports map[verdictKey]*verdictEntry
 	memo    *memo.Cache // nil when the engine runs without memoization
 }
 
+// verdictEntry is one key's report. The first caller analyzes under once;
+// later callers for the key wait on once and read rep. An analysis that
+// panics leaves rep nil, which runs the job's full dynamic campaign.
+type verdictEntry struct {
+	once sync.Once
+	rep  *absint.Report
+}
+
 func newVerdictCache(mc *memo.Cache) *verdictCache {
-	return &verdictCache{reports: map[verdictKey]*absint.Report{}, memo: mc}
+	return &verdictCache{reports: map[verdictKey]*verdictEntry{}, memo: mc}
 }
 
 // report returns the job's verdict report, analyzing on first use. nil
@@ -57,14 +67,18 @@ func (v *verdictCache) report(job Job) *absint.Report {
 	}
 	key := verdictKey{m: job.Module, a: job.ABI}
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	if rep, ok := v.reports[key]; ok {
-		return rep
+	e, ok := v.reports[key]
+	if !ok {
+		e = &verdictEntry{}
+		v.reports[key] = e
 	}
-	// memo.Verdict is nil-safe: without a cache it just runs the analysis.
-	rep := v.memo.Verdict(job.Module, abiActions(job.ABI), absint.Analyze)
-	v.reports[key] = rep
-	return rep
+	v.mu.Unlock()
+	e.once.Do(func() {
+		// memo.Verdict is nil-safe: without a cache it just runs the
+		// analysis.
+		e.rep = v.memo.Verdict(job.Module, abiActions(job.ABI), absint.Analyze)
+	})
+	return e.rep
 }
 
 // abiActions lists the ABI's action names in declaration order (the same

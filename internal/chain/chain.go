@@ -97,7 +97,12 @@ type ExecutedAction struct {
 	Notified bool
 }
 
-// Receipt summarizes one executed (or reverted) transaction.
+// Receipt summarizes one executed (or reverted) transaction. The receipt
+// PushTransaction returns is the caller's to keep, unless the caller hands
+// it back with Recycle: the chain then refills it, and its lists, for a
+// later transaction, so a recycled receipt, its lists and the traces in
+// them must never be read again. A list the transaction left empty is
+// nil, on a new receipt and a recycled one alike.
 type Receipt struct {
 	Executed []ExecutedAction
 	Console  string
@@ -115,6 +120,58 @@ type Receipt struct {
 
 // Reverted reports whether the transaction failed and was rolled back.
 func (r *Receipt) Reverted() bool { return r.Err != nil }
+
+// receiptLists is the storage of a receipt's lists while no receipt uses
+// it: a list a transaction left empty parks its storage here, and the
+// next receipt starts its lists in it.
+type receiptLists struct {
+	executed []ExecutedAction
+	traces   []trace.Trace
+	dbOps    []DBOp
+	inline   []Action
+	deferred []Transaction
+}
+
+// reuse empties r for a new transaction, starting each list in the
+// parked storage when r has none of its own and leaving l empty.
+func (r *Receipt) reuse(l *receiptLists) {
+	*r = Receipt{
+		Executed:     reuseList(r.Executed, &l.executed),
+		Traces:       reuseList(r.Traces, &l.traces),
+		DBOps:        reuseList(r.DBOps, &l.dbOps),
+		InlineSent:   reuseList(r.InlineSent, &l.inline),
+		DeferredSent: reuseList(r.DeferredSent, &l.deferred),
+	}
+}
+
+// settle makes each list the transaction left empty nil, as on a new
+// receipt, and parks its storage in l.
+func (r *Receipt) settle(l *receiptLists) {
+	parkList(&r.Executed, &l.executed)
+	parkList(&r.Traces, &l.traces)
+	parkList(&r.DBOps, &l.dbOps)
+	parkList(&r.InlineSent, &l.inline)
+	parkList(&r.DeferredSent, &l.deferred)
+}
+
+// reuseList returns list emptied, with its elements zeroed so it keeps
+// nothing alive, or the parked storage when list has none.
+func reuseList[T any](list []T, parked *[]T) []T {
+	if cap(list) == 0 {
+		list, *parked = *parked, nil
+	}
+	clear(list)
+	return list[:0]
+}
+
+func parkList[T any](list, parked *[]T) {
+	if len(*list) == 0 {
+		if cap(*list) > 0 {
+			*parked = *list
+		}
+		*list = nil
+	}
+}
 
 // NativeContract is a contract implemented in Go rather than Wasm (system
 // contracts and the adversary-oracle agent contracts).
@@ -191,6 +248,15 @@ type Blockchain struct {
 	// inline actions are dispatched by applyActionTree only after
 	// applyOne returns, and native contracts only queue them.
 	apply Context
+	// recycled is the receipt Recycle handed back, which the next
+	// PushTransaction refills; sub is the receipt each deferred
+	// transaction fills before PushTransaction merges it; lists parks
+	// list storage between receipts.
+	recycled *Receipt
+	sub      Receipt
+	lists    receiptLists
+	// notified is the storage of applyActionTree's notification list.
+	notified []eos.Name
 	// session is the open session, if any (see Begin).
 	session *Session
 }
@@ -392,15 +458,24 @@ func (bc *Blockchain) advanceBlock() {
 // are rolled back and the receipt carries the error. Deferred transactions
 // scheduled by tx are executed afterwards, each in its own transaction
 // context (their failure does not revert tx — the Rollback-safe pattern of
-// paper §2.3.5).
+// paper §2.3.5). The receipt is new unless a receipt was handed back with
+// Recycle since the last push, in which case it is that one, refilled.
 func (bc *Blockchain) PushTransaction(tx Transaction) *Receipt {
-	rcpt := bc.runTransaction(tx)
+	rcpt := bc.recycled
+	bc.recycled = nil
+	if rcpt == nil {
+		rcpt = &Receipt{}
+	}
+	rcpt.reuse(&bc.lists)
+	bc.runTransaction(tx, rcpt)
 	// Run scheduled deferred transactions (only when the parent committed).
 	if rcpt.Err == nil {
 		for len(bc.deferred) > 0 {
 			d := bc.deferred[0]
 			bc.deferred = bc.deferred[1:]
-			sub := bc.runTransaction(d)
+			sub := &bc.sub
+			sub.reuse(&bc.lists)
+			bc.runTransaction(d, sub)
 			rcpt.Executed = append(rcpt.Executed, sub.Executed...)
 			rcpt.Traces = append(rcpt.Traces, sub.Traces...)
 			rcpt.DBOps = append(rcpt.DBOps, sub.DBOps...)
@@ -412,16 +487,24 @@ func (bc *Blockchain) PushTransaction(tx Transaction) *Receipt {
 	if !bc.HoldBlocks {
 		bc.advanceBlock()
 	}
+	rcpt.settle(&bc.lists)
 	return rcpt
 }
 
-func (bc *Blockchain) runTransaction(tx Transaction) *Receipt {
+// Recycle hands back a receipt PushTransaction returned, for the next
+// PushTransaction to refill instead of allocating one; the chain keeps
+// the latest. The caller must not read the receipt, its lists or the
+// traces in them again. The traces' event buffers are not the chain's:
+// they go back to the collector with trace.Collector.Recycle, or stay
+// the caller's.
+func (bc *Blockchain) Recycle(r *Receipt) { bc.recycled = r }
+
+// runTransaction runs tx into rcpt, which starts empty.
+func (bc *Blockchain) runTransaction(tx Transaction, rcpt *Receipt) {
 	bc.db.begin()
 	deferredMark := len(bc.deferred)
-	rcpt := &Receipt{}
-	txctx := &txContext{chain: bc, receipt: rcpt}
 	for i := range tx.Actions {
-		if err := bc.applyActionTree(txctx, tx.Actions[i], 0); err != nil {
+		if err := bc.applyActionTree(rcpt, tx.Actions[i], 0); err != nil {
 			rcpt.Err = &ActionError{Index: i, Name: tx.Actions[i].Name, Account: tx.Actions[i].Account, Err: err}
 			// Discard only the deferred transactions this tx scheduled.
 			bc.deferred = bc.deferred[:deferredMark]
@@ -434,26 +517,21 @@ func (bc *Blockchain) runTransaction(tx Transaction) *Receipt {
 		bc.db.commit()
 	}
 	if bc.Collector != nil {
-		rcpt.Traces = append(rcpt.Traces, bc.Collector.TakeTraces()...)
+		rcpt.Traces = bc.Collector.AppendTraces(rcpt.Traces)
 	}
-	return rcpt
-}
-
-// txContext carries per-transaction execution state.
-type txContext struct {
-	chain   *Blockchain
-	receipt *Receipt
 }
 
 // applyActionTree executes one action: the primary apply on the addressed
 // contract, then notification applies, then inline actions (depth-first),
 // matching EOSIO's dispatch order.
-func (bc *Blockchain) applyActionTree(txctx *txContext, act Action, depth int) error {
+func (bc *Blockchain) applyActionTree(rcpt *Receipt, act Action, depth int) error {
 	if depth > bc.MaxInlineDepth {
 		return failure.Newf(failure.Trap, "chain: inline action depth %d exceeds limit", depth)
 	}
-	// Primary apply: receiver == code == act.Account.
-	notified, inline, err := bc.applyOne(txctx, act.Account, act.Account, act, nil, nil)
+	// Primary apply: receiver == code == act.Account. The notification
+	// list is the chain's: it is done with before the inline actions, the
+	// only nested calls, run.
+	notified, inline, err := bc.applyOne(rcpt, act.Account, act.Account, act, bc.notified[:0], nil)
 	if err != nil {
 		return err
 	}
@@ -465,14 +543,15 @@ func (bc *Blockchain) applyActionTree(txctx *txContext, act Action, depth int) e
 			continue
 		}
 		seen[r] = true
-		if notified, inline, err = bc.applyOne(txctx, r, act.Account, act, notified, inline); err != nil {
+		if notified, inline, err = bc.applyOne(rcpt, r, act.Account, act, notified, inline); err != nil {
 			return err
 		}
 	}
+	bc.notified = notified
 	// Inline actions, depth-first.
 	for _, in := range inline {
-		txctx.receipt.InlineSent = append(txctx.receipt.InlineSent, in)
-		if err := bc.applyActionTree(txctx, in, depth+1); err != nil {
+		rcpt.InlineSent = append(rcpt.InlineSent, in)
+		if err := bc.applyActionTree(rcpt, in, depth+1); err != nil {
 			return err
 		}
 	}
@@ -483,7 +562,7 @@ func (bc *Blockchain) applyActionTree(txctx *txContext, act Action, depth int) e
 // accounts it notifies and the inline actions it sends to notified and
 // inline, which the caller owns: the apply context is the chain's and the
 // next apply resets it.
-func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Action, notified []eos.Name, inline []Action) ([]eos.Name, []Action, error) {
+func (bc *Blockchain) applyOne(rcpt *Receipt, receiver, code eos.Name, act Action, notified []eos.Name, inline []Action) ([]eos.Name, []Action, error) {
 	acct, ok := bc.accounts[receiver]
 	if !ok {
 		if receiver == code {
@@ -491,7 +570,7 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 		}
 		return notified, inline, nil // notifying a non-existent account is a no-op
 	}
-	txctx.receipt.Executed = append(txctx.receipt.Executed, ExecutedAction{
+	rcpt.Executed = append(rcpt.Executed, ExecutedAction{
 		Receiver: receiver, Code: code, Action: act.Name, Notified: receiver != code,
 	})
 	if !acct.HasCode() {
@@ -501,7 +580,7 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	}
 
 	ctx := &bc.apply
-	ctx.reset(txctx, receiver, code, &act, acct.Sites)
+	ctx.reset(receiver, code, &act, acct.Sites)
 	var err error
 	if acct.Native != nil {
 		err = acct.Native.ApplyNative(ctx, code, act.Name)
@@ -514,10 +593,10 @@ func (bc *Blockchain) applyOne(txctx *txContext, receiver, code eos.Name, act Ac
 	if bc.Collector != nil {
 		bc.Collector.Finalize(receiver, act.Name)
 	}
-	txctx.receipt.Console += ctx.console.String()
-	txctx.receipt.DBOps = append(txctx.receipt.DBOps, ctx.dbOps...)
+	rcpt.Console += ctx.console.String()
+	rcpt.DBOps = append(rcpt.DBOps, ctx.dbOps...)
 	if err == nil {
-		txctx.receipt.DeferredSent = append(txctx.receipt.DeferredSent, ctx.deferred...)
+		rcpt.DeferredSent = append(rcpt.DeferredSent, ctx.deferred...)
 		bc.deferred = append(bc.deferred, ctx.deferred...)
 		notified = append(notified, ctx.notified...)
 		inline = append(inline, ctx.inline...)

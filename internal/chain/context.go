@@ -13,7 +13,6 @@ import (
 // Context is valid only while its apply runs.
 type Context struct {
 	chain *Blockchain
-	tx    *txContext
 
 	// Receiver is the account whose code is executing.
 	Receiver eos.Name
@@ -43,8 +42,7 @@ type Context struct {
 // reset prepares the context for one apply. The buffers and the iterator
 // cache keep their storage from earlier applies; their contents, and
 // every iterator handle, start over.
-func (ctx *Context) reset(tx *txContext, receiver, code eos.Name, act *Action, sites *instrument.SiteTable) {
-	ctx.tx = tx
+func (ctx *Context) reset(receiver, code eos.Name, act *Action, sites *instrument.SiteTable) {
 	ctx.Receiver, ctx.Code, ctx.Action = receiver, code, act.Name
 	ctx.Data, ctx.Auth = act.Data, act.Authorization
 	ctx.sites = sites
@@ -56,10 +54,9 @@ func (ctx *Context) reset(tx *txContext, receiver, code eos.Name, act *Action, s
 }
 
 // release drops what the context points to in the finished apply's
-// transaction and receipt, once its results are copied out: the chain
-// outlives both.
+// transaction, once its results are copied out: the chain outlives it.
 func (ctx *Context) release() {
-	ctx.tx, ctx.Data, ctx.Auth = nil, nil, nil
+	ctx.Data, ctx.Auth = nil, nil
 	ctx.console.Reset()
 	clear(ctx.inline)
 	clear(ctx.deferred)

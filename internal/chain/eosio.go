@@ -52,9 +52,9 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 		},
 		APIHasAuth: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			if ctxOf(vm).HasAuth(eos.Name(args[0])) {
-				return []uint64{1}, nil
+				return vm.Result(1), nil
 			}
-			return []uint64{0}, nil
+			return vm.Result(0), nil
 		},
 		APIRequireRecipient: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			ctxOf(vm).RequireRecipient(eos.Name(args[0]))
@@ -62,12 +62,12 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 		},
 		APIIsAccount: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			if ctxOf(vm).chain.Account(eos.Name(args[0])) != nil {
-				return []uint64{1}, nil
+				return vm.Result(1), nil
 			}
-			return []uint64{0}, nil
+			return vm.Result(0), nil
 		},
 		APICurrentReceiver: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return []uint64{uint64(ctxOf(vm).Receiver)}, nil
+			return vm.Result(uint64(ctxOf(vm).Receiver)), nil
 		},
 		APIEosioAssert: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			if uint32(args[0]) != 0 {
@@ -84,13 +84,14 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 			if err := vm.Instance().WriteMemory(uint32(args[0]), ctx.Data[:n]); err != nil {
 				return nil, err
 			}
-			return []uint64{uint64(uint32(n))}, nil
+			return vm.Result(uint64(uint32(n))), nil
 		},
 		APIActionDataSize: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return []uint64{uint64(uint32(len(ctxOf(vm).Data)))}, nil
+			return vm.Result(uint64(uint32(len(ctxOf(vm).Data)))), nil
 		},
 		APISendInline: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			p, err := vm.Instance().ReadMemory(uint32(args[0]), uint32(args[1]))
+			// A view suffices: UnpackAction copies what it keeps.
+			p, err := vm.Instance().ViewMemory(uint32(args[0]), uint32(args[1]))
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +104,7 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 		},
 		APISendDeferred: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			// Simplified signature: (payer i64, ptr i32, len i32).
-			p, err := vm.Instance().ReadMemory(uint32(args[1]), uint32(args[2]))
+			p, err := vm.Instance().ViewMemory(uint32(args[1]), uint32(args[2]))
 			if err != nil {
 				return nil, err
 			}
@@ -115,20 +116,20 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 			return nil, nil
 		},
 		APITaposBlockNum: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return []uint64{uint64(ctxOf(vm).chain.TaposBlockNum())}, nil
+			return vm.Result(uint64(ctxOf(vm).chain.TaposBlockNum())), nil
 		},
 		APITaposBlockPrefix: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return []uint64{uint64(ctxOf(vm).chain.TaposBlockPrefix())}, nil
+			return vm.Result(uint64(ctxOf(vm).chain.TaposBlockPrefix())), nil
 		},
 		APICurrentTime: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return []uint64{ctxOf(vm).chain.TimeUs()}, nil
+			return vm.Result(ctxOf(vm).chain.TimeUs()), nil
 		},
 		APIPrints: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			ctxOf(vm).Print(readCStr(vm, uint32(args[0])))
 			return nil, nil
 		},
 		APIPrintsL: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			p, err := vm.Instance().ReadMemory(uint32(args[0]), uint32(args[1]))
+			p, err := vm.Instance().ViewMemory(uint32(args[0]), uint32(args[1]))
 			if err != nil {
 				return nil, err
 			}
@@ -145,14 +146,16 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 		},
 		APIMemcpy: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			dst, src, n := uint32(args[0]), uint32(args[1]), uint32(args[2])
-			p, err := vm.Instance().ReadMemory(src, n)
+			// WriteMemory's copy is a memmove, so an overlapping view of
+			// the source is safe.
+			p, err := vm.Instance().ViewMemory(src, n)
 			if err != nil {
 				return nil, err
 			}
 			if err := vm.Instance().WriteMemory(dst, p); err != nil {
 				return nil, err
 			}
-			return []uint64{uint64(dst)}, nil
+			return vm.Result(uint64(dst)), nil
 		},
 		APIMemset: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			dst, val, n := uint32(args[0]), byte(args[1]), uint32(args[2])
@@ -163,7 +166,7 @@ func (b eosioBackend) HostEnv(bc *Blockchain) exec.HostModule {
 			if err := vm.Instance().WriteMemory(dst, p); err != nil {
 				return nil, err
 			}
-			return []uint64{uint64(dst)}, nil
+			return vm.Result(uint64(dst)), nil
 		},
 		APIAbort: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			return nil, &AssertError{Msg: "abort() called"}
@@ -178,19 +181,20 @@ func (eosioBackend) addDBAPIs(env exec.HostModule) {
 		ctx := ctxOf(vm)
 		scope, tab := eos.Name(args[0]), eos.Name(args[1])
 		id := args[3]
-		p, err := vm.Instance().ReadMemory(uint32(args[4]), uint32(args[5]))
+		// A view suffices: the database copies the row it stores.
+		p, err := vm.Instance().ViewMemory(uint32(args[4]), uint32(args[5]))
 		if err != nil {
 			return nil, err
 		}
 		ctx.RecordDBOpKey(DBWrite, tab, id)
 		it := ctx.iters.Store(scope, tab, ctx.Receiver, id, p)
-		return []uint64{uint64(uint32(it))}, nil
+		return vm.Result(uint64(uint32(it))), nil
 	}
 	env[APIDBFind] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
 		ctx := ctxOf(vm)
 		code, scope, tab, id := eos.Name(args[0]), eos.Name(args[1]), eos.Name(args[2]), args[3]
 		ctx.RecordDBOpKey(DBRead, tab, id)
-		return []uint64{uint64(uint32(ctx.iters.Find(code, scope, tab, id)))}, nil
+		return vm.Result(uint64(uint32(ctx.iters.Find(code, scope, tab, id)))), nil
 	}
 	env[APIDBGet] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
 		ctx := ctxOf(vm)
@@ -200,7 +204,7 @@ func (eosioBackend) addDBAPIs(env exec.HostModule) {
 		}
 		n := int(uint32(args[2]))
 		if n == 0 {
-			return []uint64{uint64(uint32(len(row)))}, nil
+			return vm.Result(uint64(uint32(len(row)))), nil
 		}
 		if n > len(row) {
 			n = len(row)
@@ -208,11 +212,11 @@ func (eosioBackend) addDBAPIs(env exec.HostModule) {
 		if err := vm.Instance().WriteMemory(uint32(args[1]), row[:n]); err != nil {
 			return nil, err
 		}
-		return []uint64{uint64(uint32(n))}, nil
+		return vm.Result(uint64(uint32(n))), nil
 	}
 	env[APIDBUpdate] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
 		ctx := ctxOf(vm)
-		p, err := vm.Instance().ReadMemory(uint32(args[2]), uint32(args[3]))
+		p, err := vm.Instance().ViewMemory(uint32(args[2]), uint32(args[3]))
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +248,7 @@ func (eosioBackend) addDBAPIs(env exec.HostModule) {
 				return nil, err
 			}
 		}
-		return []uint64{uint64(uint32(it))}, nil
+		return vm.Result(uint64(uint32(it))), nil
 	}
 	env[APIDBPrevious] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
 		ctx := ctxOf(vm)
@@ -256,18 +260,18 @@ func (eosioBackend) addDBAPIs(env exec.HostModule) {
 				return nil, err
 			}
 		}
-		return []uint64{uint64(uint32(it))}, nil
+		return vm.Result(uint64(uint32(it))), nil
 	}
 	env[APIDBLowerbound] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
 		ctx := ctxOf(vm)
 		code, scope, tab, id := eos.Name(args[0]), eos.Name(args[1]), eos.Name(args[2]), args[3]
 		ctx.RecordDBOp(DBRead, tab)
-		return []uint64{uint64(uint32(ctx.iters.LowerBound(code, scope, tab, id)))}, nil
+		return vm.Result(uint64(uint32(ctx.iters.LowerBound(code, scope, tab, id)))), nil
 	}
 	env[APIDBEnd] = func(vm *exec.VM, args []uint64) ([]uint64, error) {
 		ctx := ctxOf(vm)
 		code, scope, tab := eos.Name(args[0]), eos.Name(args[1]), eos.Name(args[2])
 		ctx.RecordDBOp(DBRead, tab)
-		return []uint64{uint64(uint32(ctx.iters.End(code, scope, tab)))}, nil
+		return vm.Result(uint64(uint32(ctx.iters.End(code, scope, tab)))), nil
 	}
 }

@@ -51,10 +51,11 @@ func (t *TokenContract) balance(ctx *Context, owner eos.Name) eos.Asset {
 }
 
 func (t *TokenContract) setBalance(ctx *Context, owner eos.Name, a eos.Asset) {
-	row := make([]byte, 16)
+	// The database copies the row, so it is built on the stack.
+	var row [16]byte
 	binary.LittleEndian.PutUint64(row[:8], uint64(a.Amount))
 	binary.LittleEndian.PutUint64(row[8:], uint64(a.Symbol))
-	ctx.chain.db.Store(ctx.Receiver, owner, accountsTable, uint64(t.Sym)>>8, row)
+	ctx.chain.db.Store(ctx.Receiver, owner, accountsTable, uint64(t.Sym)>>8, row[:])
 	ctx.RecordDBOp(DBWrite, accountsTable)
 }
 
@@ -79,7 +80,7 @@ func (t *TokenContract) issue(ctx *Context) error {
 // semantics: authorization of from, balance movement, and notification of
 // both parties via require_recipient.
 func (t *TokenContract) transfer(ctx *Context) error {
-	args, err := DecodeTransfer(ctx.Data)
+	args, _, err := decodeTransfer(ctx.Data)
 	if err != nil {
 		return &AssertError{Msg: err.Error()}
 	}
@@ -130,6 +131,17 @@ const transferFixed = 32
 // the ones abi.TransferABI gives; FuzzTransferCodec holds the two decoders
 // to the same accept/reject split.
 func DecodeTransfer(data []byte) (TransferArgs, error) {
+	args, memo, err := decodeTransfer(data)
+	if err != nil {
+		return TransferArgs{}, err
+	}
+	args.Memo = string(memo)
+	return args, nil
+}
+
+// decodeTransfer is DecodeTransfer with the memo left as a view of data,
+// for the token contract, which checks the memo but never reads it.
+func decodeTransfer(data []byte) (TransferArgs, []byte, error) {
 	if len(data) >= transferFixed {
 		n, sz, err := leb128.Uint(data[transferFixed:], 32)
 		memo := transferFixed + sz
@@ -141,12 +153,11 @@ func DecodeTransfer(data []byte) (TransferArgs, error) {
 					Amount: int64(binary.LittleEndian.Uint64(data[16:])),
 					Symbol: eos.Symbol(binary.LittleEndian.Uint64(data[24:])),
 				},
-				Memo: string(data[memo:end]),
-			}, nil
+			}, data[memo:end], nil
 		}
 	}
 	_, err := abi.NewDecoder(abi.TransferABI(), data).DecodeAction(eos.ActionTransfer)
-	return TransferArgs{}, fmt.Errorf("bad transfer payload: %w", err)
+	return TransferArgs{}, nil, fmt.Errorf("bad transfer payload: %w", err)
 }
 
 // EncodeTransfer serializes a transfer payload in the layout
@@ -156,13 +167,24 @@ func EncodeTransfer(args TransferArgs) []byte {
 	for v := uint64(len(args.Memo)) >> 7; v != 0; v >>= 7 {
 		size++
 	}
-	p := make([]byte, transferFixed, size)
-	binary.LittleEndian.PutUint64(p[0:], uint64(args.From))
-	binary.LittleEndian.PutUint64(p[8:], uint64(args.To))
-	binary.LittleEndian.PutUint64(p[16:], uint64(args.Quantity.Amount))
-	binary.LittleEndian.PutUint64(p[24:], uint64(args.Quantity.Symbol))
-	p = leb128.AppendUint(p, uint64(len(args.Memo)))
+	p := appendTransferHead(make([]byte, 0, size), args.From, args.To, args.Quantity, len(args.Memo))
 	return append(p, args.Memo...)
+}
+
+// AppendTransfer appends to dst the payload EncodeTransfer gives for a
+// memo of these bytes, so a caller that reuses dst encodes without
+// allocating.
+func AppendTransfer(dst []byte, from, to eos.Name, quantity eos.Asset, memo []byte) []byte {
+	return append(appendTransferHead(dst, from, to, quantity, len(memo)), memo...)
+}
+
+// appendTransferHead appends the fixed head and the memo length.
+func appendTransferHead(dst []byte, from, to eos.Name, quantity eos.Asset, memoLen int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(from))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(to))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(quantity.Amount))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(quantity.Symbol))
+	return leb128.AppendUint(dst, uint64(memoLen))
 }
 
 type issueArgs struct {

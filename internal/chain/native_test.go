@@ -52,6 +52,9 @@ func FuzzTransferCodec(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("EncodeTransfer(%+v) = %x, generic encoding %x", args, got, want)
 		}
+		if app := AppendTransfer(data, args.From, args.To, args.Quantity, []byte(memo)); !bytes.Equal(app[:len(data)], data) || !bytes.Equal(app[len(data):], want) {
+			t.Fatalf("AppendTransfer(%x, %+v) = %x, want the prefix and then %x", data, args, app, want)
+		}
 		if back, err := DecodeTransfer(got); err != nil || back != args {
 			t.Fatalf("DecodeTransfer(EncodeTransfer(%+v)) = %+v, %v", args, back, err)
 		}

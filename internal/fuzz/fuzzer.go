@@ -199,6 +199,17 @@ type Fuzzer struct {
 
 	lastRevertRead map[eos.Name]chain.DBOp // action -> the failing read (table + key)
 	kept           []trace.Trace
+
+	// scratch is rebuilt by every transaction and valid only until the
+	// next one (see transact).
+	scratch struct {
+		params  []symexec.Param
+		payload []byte
+		act     [1]chain.Action
+		auth    [1]chain.PermissionLevel
+		victim  []trace.Trace
+		own     []trace.Trace
+	}
 }
 
 // seedRef points at the queue slot a step served, so the adaptive loop can
@@ -560,7 +571,7 @@ func (f *Fuzzer) step(kind payloadKind, action eos.Name) error {
 		seed = Seed{Action: action, Params: randomParams(f.rng, []eos.Name{attackerName, victimName})}
 	}
 
-	rcpt, err := f.transact(kind, seed)
+	reverted, err := f.transact(kind, seed)
 	if err != nil {
 		return err
 	}
@@ -569,7 +580,7 @@ func (f *Fuzzer) step(kind payloadKind, action eos.Name) error {
 	// reverts after reading a table, run a writer of that table with the
 	// same parameters (so the row keys match) and retry the seed in the
 	// same round.
-	if !f.cfg.DisableDBG && kind == payloadDirectAction && rcpt.Reverted() {
+	if !f.cfg.DisableDBG && kind == payloadDirectAction && reverted {
 		if readOp, failed := f.lastRevertRead[action]; failed {
 			tb := readOp.Table
 			if writer, ok := f.dbg.WriterFor(tb, action); ok {
@@ -600,15 +611,22 @@ func (f *Fuzzer) step(kind payloadKind, action eos.Name) error {
 	return nil
 }
 
-// transact runs one transaction of the seed and feeds its receipt back,
-// with the seed's effective parameters computed once for both.
-func (f *Fuzzer) transact(kind payloadKind, seed Seed) (*chain.Receipt, error) {
+// transact runs one transaction of the seed, feeds its receipt back, with
+// the seed's effective parameters computed once for both, and reports
+// whether it reverted. The parameters, the payload, the action and the
+// victim-trace lists live in f.scratch, and the receipt goes back to the
+// chain with Recycle: nothing of one transaction outlives transact except
+// what observe copies.
+func (f *Fuzzer) transact(kind payloadKind, seed Seed) (bool, error) {
 	params := f.effectiveParams(kind, seed)
 	rcpt, err := f.execute(kind, seed, params)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return rcpt, f.observe(kind, seed, params, rcpt)
+	err = f.observe(kind, seed, params, rcpt)
+	reverted := rcpt.Reverted()
+	f.bc.Recycle(rcpt)
+	return reverted, err
 }
 
 // execute materializes the payload transaction for the seed's effective
@@ -622,29 +640,28 @@ func (f *Fuzzer) execute(kind payloadKind, seed Seed, params []symexec.Param) (*
 			return nil, failure.Wrap(failure.Timeout, err)
 		}
 	}
-	data := chain.EncodeTransfer(chain.TransferArgs{
-		From:     eos.Name(params[0].U64),
-		To:       eos.Name(params[1].U64),
-		Quantity: eos.Asset{Amount: int64(params[2].Amount), Symbol: eos.Symbol(params[2].Symbol)},
-		Memo:     string(params[3].Str),
-	})
-	var act chain.Action
+	sc := &f.scratch
+	sc.payload = chain.AppendTransfer(sc.payload[:0],
+		eos.Name(params[0].U64), eos.Name(params[1].U64),
+		eos.Asset{Amount: int64(params[2].Amount), Symbol: eos.Symbol(params[2].Symbol)},
+		params[3].Str)
+	act := chain.Action{Account: victimName, Name: eos.ActionTransfer, Data: sc.payload}
 	switch kind {
 	case payloadValidTransfer, payloadForwardedNotif:
-		act = chain.Action{Account: eos.TokenContract, Name: eos.ActionTransfer, Data: data}
+		act.Account = eos.TokenContract
 	case payloadFakeToken:
-		act = chain.Action{Account: fakeTokenName, Name: eos.ActionTransfer, Data: data}
-	case payloadDirectFake:
-		act = chain.Action{Account: victimName, Name: eos.ActionTransfer, Data: data}
+		act.Account = fakeTokenName
 	case payloadDirectAction:
-		act = chain.Action{Account: victimName, Name: seed.Action, Data: data}
+		act.Name = seed.Action
 	}
 	signer := eos.Name(params[0].U64)
 	// The fuzzer holds the keys of accounts it invents: ensure the signer
 	// exists so authorization can be granted.
 	f.bc.CreateAccount(signer)
-	act.Authorization = []chain.PermissionLevel{{Actor: signer, Permission: eos.ActiveAuth}}
-	rcpt := f.bc.PushTransaction(chain.Transaction{Actions: []chain.Action{act}})
+	sc.auth[0] = chain.PermissionLevel{Actor: signer, Permission: eos.ActiveAuth}
+	act.Authorization = sc.auth[:]
+	sc.act[0] = act
+	rcpt := f.bc.PushTransaction(chain.Transaction{Actions: sc.act[:]})
 	// Escalate injected faults to campaign level. Ordinary reverts — asserts,
 	// missing rows, bad auth — are the signal the oracles feed on and stay in
 	// the receipt; only errors chaining to the injection sentinel mean the
@@ -657,9 +674,14 @@ func (f *Fuzzer) execute(kind payloadKind, seed Seed, params []symexec.Param) (*
 
 // effectiveParams constrains the seed to what the payload shape fixes: real
 // token transfers are always attacker -> target/agent with a positive
-// amount; direct invocations are fully seed-controlled.
+// amount; direct invocations are fully seed-controlled. The parameters
+// are a shallow copy of the seed's in f.scratch, valid until the next
+// call: only scalar fields are written, so the string bytes they share
+// with the seed are never changed, and whatever keeps parameters copies
+// them (ApplyModel copies what it changes, and elitism clones the seed).
 func (f *Fuzzer) effectiveParams(kind payloadKind, seed Seed) []symexec.Param {
-	params := seed.clone().Params
+	params := append(f.scratch.params[:0], seed.Params...)
+	f.scratch.params = params
 	switch kind {
 	case payloadValidTransfer, payloadFakeToken:
 		params[0].U64 = uint64(attackerName)
@@ -692,12 +714,13 @@ func clampAmount(a uint64) uint64 {
 // hands every target trace's event buffer back to the collector on
 // return: whatever keeps a trace beyond observe copies its events.
 func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rcpt *chain.Receipt) error {
-	victimTraces := make([]trace.Trace, 0, len(rcpt.Traces))
+	victimTraces := f.scratch.victim[:0]
 	for _, tr := range rcpt.Traces {
 		if tr.Contract == victimName {
 			victimTraces = append(victimTraces, tr)
 		}
 	}
+	f.scratch.victim = victimTraces
 	defer f.recycle(victimTraces)
 
 	// Oracles (§3.5).
@@ -718,12 +741,13 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 		// inline/deferred payouts can notify the contract's eosponser in
 		// the same receipt, and its bookkeeping writes are authorized by
 		// the token transfer itself, not by permission APIs.
-		var own []trace.Trace
+		own := f.scratch.own[:0]
 		for i := range victimTraces {
 			if victimTraces[i].Action == seed.Action {
 				own = append(own, victimTraces[i])
 			}
 		}
+		f.scratch.own = own
 		f.scan.ObserveDirectAction(own)
 	}
 	f.scan.Observe(victimTraces)
@@ -743,7 +767,7 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 	if gained > 0 {
 		// New territory invalidates earlier flip failures: the same target
 		// may now be reachable under a feasible prefix.
-		f.attempted = map[symexec.BranchTarget]bool{}
+		clear(f.attempted)
 		// Elitism: a seed that discovered coverage is re-queued at the
 		// front so deeper, state-dependent behaviour behind its path (for
 		// example the tapos lottery outcome) gets retried across blocks.
@@ -753,7 +777,8 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 	// DBG update + transaction-dependency bookkeeping. Writes also teach
 	// the key-level index (paper §5 future work): which seed parameter the
 	// written primary key tracks.
-	var reads []chain.DBOp
+	var lastRead chain.DBOp
+	read := false
 	for _, op := range rcpt.DBOps {
 		if op.Contract != victimName {
 			continue
@@ -765,12 +790,12 @@ func (f *Fuzzer) observe(kind payloadKind, seed Seed, params []symexec.Param, rc
 			}
 		} else {
 			f.dbg.AddRead(op.Table, op.Action)
-			reads = append(reads, op)
+			lastRead, read = op, true
 		}
 	}
 	if kind == payloadDirectAction {
-		if rcpt.Reverted() && len(reads) > 0 {
-			f.lastRevertRead[seed.Action] = reads[len(reads)-1]
+		if rcpt.Reverted() && read {
+			f.lastRevertRead[seed.Action] = lastRead
 		} else if !rcpt.Reverted() {
 			delete(f.lastRevertRead, seed.Action)
 		}

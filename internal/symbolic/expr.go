@@ -124,7 +124,15 @@ type Ctx struct {
 	interned map[exprKey]*Expr
 	// fresh counts anonymous variables (symbolic load objects).
 	fresh int
+	// nodes is the chunk intern allocates nodes from, nodeChunk at a
+	// time. Reset never rewinds it, so no slot is ever handed out twice:
+	// a node built before the reset may still be referenced, by a solver
+	// query for one. The next node takes the next free slot.
+	nodes []Expr
 }
+
+// nodeChunk is how many nodes one chunk of a Ctx holds.
+const nodeChunk = 128
 
 // NewCtx returns an empty context.
 func NewCtx() *Ctx { return &Ctx{interned: map[exprKey]*Expr{}} }
@@ -145,10 +153,14 @@ func (c *Ctx) intern(k exprKey) *Expr {
 	if e, ok := c.interned[k]; ok {
 		return e
 	}
-	e := &Expr{
+	if len(c.nodes) == cap(c.nodes) {
+		c.nodes = make([]Expr, 0, nodeChunk)
+	}
+	c.nodes = append(c.nodes, Expr{
 		Kind: k.kind, Width: k.width, Val: k.val, Name: k.name,
 		A: k.a, B: k.b, C: k.c, Hi: k.hi, Lo: k.lo,
-	}
+	})
+	e := &c.nodes[len(c.nodes)-1]
 	e.hash, e.shape = hashNode(e)
 	c.interned[k] = e
 	return e

@@ -102,13 +102,36 @@ type Param struct {
 
 // VarName returns the canonical symbolic-variable name for parameter i,
 // shared with the fuzzer's model-to-seed mapping.
-func VarName(i int) string { return fmt.Sprintf("p%d", i) }
+func VarName(i int) string { return paramName(&varNames, "p%d", i) }
 
 // VarAmount and VarSymbol name the asset halves; VarStrByte names one
 // string content byte.
-func VarAmount(i int) string     { return fmt.Sprintf("p%d.amount", i) }
-func VarSymbol(i int) string     { return fmt.Sprintf("p%d.symbol", i) }
+func VarAmount(i int) string     { return paramName(&amountNames, "p%d.amount", i) }
+func VarSymbol(i int) string     { return paramName(&symbolNames, "p%d.symbol", i) }
 func VarStrByte(i, j int) string { return fmt.Sprintf("p%d[%d]", i, j) }
+
+// namedParams is how many parameters have their variable names formatted
+// once, at start-up, so a replay formats none: every generated action
+// has four.
+const namedParams = 8
+
+var varNames, amountNames, symbolNames = formatNames("p%d"), formatNames("p%d.amount"), formatNames("p%d.symbol")
+
+func formatNames(format string) (names [namedParams]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i)
+	}
+	return names
+}
+
+// paramName returns the name of parameter i: from names when i is small,
+// formatted otherwise.
+func paramName(names *[namedParams]string, format string, i int) string {
+	if i >= 0 && i < namedParams {
+		return names[i]
+	}
+	return fmt.Sprintf(format, i)
+}
 
 // Replayer walks traces of one module while symbolically executing the
 // original module per Table 3. It keeps its expression context and memory
@@ -125,7 +148,8 @@ type Replayer struct {
 	// pure function of its body.
 	metaCache map[uint32]wasm.ControlMeta
 
-	// Per-run state, set by Run.
+	// Per-run state, set by Run. concrete keeps its storage between runs.
+	concrete []uint64
 	events   []trace.Event
 	pos      int
 	globals  []*symbolic.Expr
@@ -241,12 +265,12 @@ func (r *Replayer) findActionDispatch() (uint32, bool) {
 func (r *Replayer) seekFunctionEntry(fn uint32) ([]uint64, bool) {
 	for i, ev := range r.events {
 		if ev.Kind == trace.HookFuncBegin && ev.Func == fn {
-			var concrete []uint64
+			concrete := r.concrete[:0]
 			j := i + 1
 			for ; j < len(r.events) && r.events[j].Kind == trace.HookParam; j++ {
 				concrete = append(concrete, r.events[j].Operand)
 			}
-			r.pos = j
+			r.pos, r.concrete = j, concrete
 			return concrete, true
 		}
 	}

@@ -91,7 +91,11 @@ type Trace struct {
 }
 
 // Collector accumulates traces during transaction execution and exports
-// them when an action finishes (the paper's finalize_trace point).
+// them when an action finishes (the paper's finalize_trace point). A
+// finished trace owns its event buffer: AppendTraces hands it over with
+// the trace, and the collector writes to it again only once it comes back
+// through Recycle. The collector's own lists keep their storage, so a
+// steady Emit/Finalize/AppendTraces/Recycle cycle allocates nothing.
 type Collector struct {
 	current  []Event // the in-flight trace
 	finished []Trace
@@ -141,11 +145,14 @@ func (c *Collector) Recycle(events []Event) {
 // Traces returns the finished traces collected so far.
 func (c *Collector) Traces() []Trace { return c.finished }
 
-// TakeTraces returns the finished traces and clears them.
-func (c *Collector) TakeTraces() []Trace {
-	t := c.finished
-	c.finished = nil
-	return t
+// AppendTraces appends the finished traces, and with them their event
+// buffers, to dst and returns the extended list. The collector's list is
+// emptied but keeps its storage.
+func (c *Collector) AppendTraces(dst []Trace) []Trace {
+	dst = append(dst, c.finished...)
+	clear(c.finished)
+	c.finished = c.finished[:0]
+	return dst
 }
 
 // --- Offline files ----------------------------------------------------------

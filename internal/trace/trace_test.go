@@ -87,9 +87,11 @@ func TestCollectorFinalize(t *testing.T) {
 	if got[0].Contract != eos.MustName("a") || len(got[0].Events) != 2 || cap(got[0].Events) != 2 || got[0].Events[0].Func != 1 {
 		t.Errorf("first trace: %+v", got[0])
 	}
-	taken := c.TakeTraces()
-	if len(taken) != 2 || len(c.Traces()) != 0 {
-		t.Error("TakeTraces did not drain")
+	prior := []Trace{{Contract: eos.MustName("z")}}
+	taken := c.AppendTraces(prior)
+	if len(taken) != 3 || taken[0].Contract != eos.MustName("z") || taken[1].Contract != eos.MustName("a") ||
+		taken[2].Contract != eos.MustName("b") || len(c.Traces()) != 0 {
+		t.Errorf("AppendTraces gave %+v and left %d traces, want z, a, b and none", taken, len(c.Traces()))
 	}
 }
 
@@ -174,20 +176,23 @@ func TestEventSize(t *testing.T) {
 }
 
 // TestCollectorRecycleAllocatesNoEventBuffer: once a buffer comes back
-// through Recycle, a steady Emit/Finalize/TakeTraces/Recycle cycle makes
-// one allocation, the []Trace TakeTraces returns, and no event buffer.
+// through Recycle, a steady Emit/Finalize/AppendTraces/Recycle cycle into
+// a reused trace list allocates nothing: no event buffer, and no list on
+// either side of the hand-over.
 func TestCollectorRecycleAllocatesNoEventBuffer(t *testing.T) {
 	c := NewCollector()
+	var list []Trace
 	cycle := func() {
 		for i := 0; i < 100; i++ {
 			c.Emit(Event{Kind: HookCond, Func: 1, PC: i, Operand: uint64(i)})
 		}
 		c.Finalize(eos.MustName("victim"), eos.ActionTransfer)
-		c.Recycle(c.TakeTraces()[0].Events)
+		list = c.AppendTraces(list[:0])
+		c.Recycle(list[0].Events)
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(50, cycle); allocs != 1 {
-		t.Errorf("a recycling cycle makes %v allocations, want 1 (the []Trace)", allocs)
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a recycling cycle makes %v allocations, want 0", allocs)
 	}
 }
 
@@ -204,13 +209,13 @@ func TestUnrecycledTraceIsNeverWritten(t *testing.T) {
 	}
 	emit(40, 1)
 	emit(10, 2)
-	taken := c.TakeTraces()
+	taken := c.AppendTraces(nil)
 	kept := taken[1].Events
 	snapshot := slices.Clone(kept[:cap(kept)])
 	c.Recycle(taken[0].Events)
 	for round, n := range []int{5, 60, 10, 200, 1, 35} {
 		emit(n, uint64(100+round))
-		for _, tr := range c.TakeTraces() {
+		for _, tr := range c.AppendTraces(nil) {
 			c.Recycle(tr.Events)
 		}
 	}

@@ -5,10 +5,7 @@
 // recursion) terminate deterministically.
 package exec
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // TrapKind enumerates the deterministic trap causes.
 type TrapKind int
@@ -77,11 +74,28 @@ func (t *Trap) Error() string {
 // Unwrap exposes the wrapped host error.
 func (t *Trap) Unwrap() error { return t.Wrapped }
 
-// AsTrap extracts a *Trap from err when present.
+// AsTrap extracts a *Trap from err when present: err itself, or the
+// first trap found depth-first down its Unwrap() error and Unwrap()
+// []error chains, the order errors.As searches. It type-asserts instead
+// of calling errors.As, which would make every host error allocate; no
+// error type in the repository has an As method for errors.As to honour.
 func AsTrap(err error) (*Trap, bool) {
-	var t *Trap
-	if errors.As(err, &t) {
-		return t, true
+	for err != nil {
+		switch e := err.(type) {
+		case *Trap:
+			return e, true
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, inner := range e.Unwrap() {
+				if t, ok := AsTrap(inner); ok {
+					return t, true
+				}
+			}
+			return nil, false
+		default:
+			return nil, false
+		}
 	}
 	return nil, false
 }

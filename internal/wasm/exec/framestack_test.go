@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,23 +12,31 @@ import (
 // runs in a frame on one VM-owned stack, arguments and results pass in
 // place, and each frame is cut off on every exit.
 
-// callChainModule exports "f", which takes no arguments and returns
-// nothing: it calls g(41), which passes its argument to the host import
-// env.h and returns it plus one.
+// callChainModule exports "f", which takes an i64 a and returns nothing:
+// it calls the host import env.v, which returns 42, calls g(a + 42),
+// which passes its argument to the host import env.h and returns it plus
+// one, and finally calls the host import env.t with a.
 func callChainModule(t *testing.T) *wasm.Module {
 	t.Helper()
-	i64 := wasm.I64
+	i64 := []wasm.ValType{wasm.I64}
 	m := &wasm.Module{FuncNames: map[uint32]string{}}
-	hTI := m.AddType(wasm.FuncType{Params: []wasm.ValType{i64}})
-	m.Imports = []wasm.Import{{Module: "env", Name: "h", Kind: wasm.ExternalFunc, TypeIndex: hTI}}
-	gTI := m.AddType(wasm.FuncType{Params: []wasm.ValType{i64}, Results: []wasm.ValType{i64}})
-	fTI := m.AddType(wasm.FuncType{})
-	m.Funcs = []uint32{gTI, fTI}
+	takeTI := m.AddType(wasm.FuncType{Params: i64})
+	giveTI := m.AddType(wasm.FuncType{Results: i64})
+	m.Imports = []wasm.Import{
+		{Module: "env", Name: "h", Kind: wasm.ExternalFunc, TypeIndex: takeTI},
+		{Module: "env", Name: "v", Kind: wasm.ExternalFunc, TypeIndex: giveTI},
+		{Module: "env", Name: "t", Kind: wasm.ExternalFunc, TypeIndex: takeTI},
+	}
+	gTI := m.AddType(wasm.FuncType{Params: i64, Results: i64})
+	m.Funcs = []uint32{gTI, takeTI}
 	m.Code = []wasm.Code{
 		{Body: []wasm.Instr{wasm.LocalGet(0), wasm.Call(0), wasm.LocalGet(0), wasm.I64Const(1), wasm.Op0(wasm.OpI64Add), wasm.End()}},
-		{Body: []wasm.Instr{wasm.I64Const(41), wasm.Call(1), wasm.Drop(), wasm.End()}},
+		{Body: []wasm.Instr{
+			wasm.Call(1), wasm.LocalGet(0), wasm.Op0(wasm.OpI64Add), wasm.Call(3), wasm.Drop(),
+			wasm.LocalGet(0), wasm.Call(2), wasm.End(),
+		}},
 	}
-	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 2}}
+	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 4}}
 	if err := wasm.Validate(m); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -46,32 +55,64 @@ func requireCompiled(t *testing.T, vm *VM) {
 }
 
 // TestFastInvokeAllocatesNothing: once its frame stack has grown, a fast
-// VM runs an export that calls a Wasm function, which calls a host
-// import, without allocating.
+// VM runs an export that takes an argument, calls a host import that
+// returns a value through vm.Result, calls a Wasm function, which calls a
+// host import, and calls a host import whose error wraps a trap, without
+// allocating, whether that last import fails or not. The tree-walker
+// must give the same results and the same error.
 func TestFastInvokeAllocatesNothing(t *testing.T) {
+	const failArg = 7
+	// The error is built once: a host function that built it per call
+	// would allocate itself.
+	wrapped := fmt.Errorf("host t: %w", &Trap{Kind: TrapDivideByZero})
 	var seen uint64
-	inst, err := Instantiate(callChainModule(t), Resolver{"env": HostModule{
+	imports := Resolver{"env": HostModule{
 		"h": func(vm *VM, args []uint64) ([]uint64, error) {
 			seen = args[0]
 			return nil, nil
 		},
-	}})
-	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
-	}
-	vm := NewFastVM(inst)
-	requireCompiled(t, vm)
-	if _, err := vm.Invoke("f"); err != nil || seen != 41 {
-		t.Fatalf("warm-up invoke: err=%v, host saw %d, want 41", err, seen)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		vm.SetFuel(DefaultFuel)
-		if _, err := vm.Invoke("f"); err != nil {
-			t.Fatalf("Invoke: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state invoke allocated %.1f times, want 0", allocs)
+		"v": func(vm *VM, args []uint64) ([]uint64, error) {
+			return vm.Result(42), nil
+		},
+		"t": func(vm *VM, args []uint64) ([]uint64, error) {
+			if args[0] == failArg {
+				return nil, wrapped
+			}
+			return nil, nil
+		},
+	}}
+	for name, newVM := range map[string]func(*Instance) *VM{"fast": NewFastVM, "reference": NewVM} {
+		t.Run(name, func(t *testing.T) {
+			inst, err := Instantiate(callChainModule(t), imports)
+			if err != nil {
+				t.Fatalf("Instantiate: %v", err)
+			}
+			vm := newVM(inst)
+			ok := func() {
+				vm.SetFuel(DefaultFuel)
+				if _, err := vm.Invoke("f", 1); err != nil || seen != 43 {
+					t.Fatalf("Invoke(f, 1): err=%v, host saw %d, want 43", err, seen)
+				}
+			}
+			fail := func() {
+				vm.SetFuel(DefaultFuel)
+				if _, err := vm.Invoke("f", failArg); err != wrapped || seen != 42+failArg || !IsTrap(err, TrapDivideByZero) {
+					t.Fatalf("Invoke(f, %d): err=%v, host saw %d; want the host's error and %d", failArg, err, seen, 42+failArg)
+				}
+			}
+			ok()
+			fail()
+			if name != "fast" {
+				return
+			}
+			requireCompiled(t, vm)
+			if allocs := testing.AllocsPerRun(100, ok); allocs != 0 {
+				t.Errorf("steady-state invoke allocated %.1f times, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, fail); allocs != 0 {
+				t.Errorf("steady-state invoke whose host import fails allocated %.1f times, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,11 @@ const PageSize = 65536
 // HostFunc is a native implementation of an imported function. Arguments
 // arrive in declaration order as raw 64-bit values (i32 zero-extended,
 // floats as IEEE bits); results are returned the same way. args may be a
-// view of the caller's operand stack: it is valid only during the call,
-// and a host function must not keep it.
+// view of the caller's operand stack or of a VM-owned buffer: it is valid
+// only during the call, and a host function must not keep it. A host
+// function may return vm.Result(v), a view of a slot the VM owns, for a
+// single result: both engines copy the results out before they run
+// anything else, so a host function must not keep that slice either.
 type HostFunc func(vm *VM, args []uint64) ([]uint64, error)
 
 // HostModule is a named collection of host functions, keyed by import name.
@@ -287,21 +290,22 @@ func (inst *Instance) Module() *wasm.Module { return inst.compiled.module }
 // through WriteMemory, which marks the range Reset restores. The slice
 // aliases the instance's buffer, which memory.grow may replace and Reset
 // overwrites for the next run, so a caller must copy out any bytes it
-// keeps beyond the current host call (ReadMemory does).
+// keeps beyond the current host call.
 func (inst *Instance) Memory() []byte { return inst.mem }
 
 // MemSize returns the memory size in bytes.
 func (inst *Instance) MemSize() int { return len(inst.mem) }
 
-// ReadMemory copies n bytes at addr, trapping on out-of-bounds.
-func (inst *Instance) ReadMemory(addr, n uint32) ([]byte, error) {
+// ViewMemory returns the n bytes at addr as a view of linear memory,
+// trapping on out-of-bounds. The view is valid only during the current
+// host call, as Memory's is, and must not be written: a caller that keeps
+// the bytes copies them.
+func (inst *Instance) ViewMemory(addr, n uint32) ([]byte, error) {
 	end := uint64(addr) + uint64(n)
 	if end > uint64(len(inst.mem)) {
 		return nil, &Trap{Kind: TrapMemoryOutOfBounds}
 	}
-	out := make([]byte, n)
-	copy(out, inst.mem[addr:end])
-	return out, nil
+	return inst.mem[addr:end:end], nil
 }
 
 // WriteMemory copies p into memory at addr, trapping on out-of-bounds.

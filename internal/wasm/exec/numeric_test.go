@@ -235,18 +235,18 @@ func TestInstanceMemoryHelpers(t *testing.T) {
 	if err := inst.WriteMemory(10, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := inst.ReadMemory(10, 3)
+	p, err := inst.ViewMemory(10, 3)
 	if err != nil || string(p) != "\x01\x02\x03" {
 		t.Errorf("read back %x, %v", p, err)
 	}
-	if _, err := inst.ReadMemory(PageSize-1, 2); err == nil {
+	if _, err := inst.ViewMemory(PageSize-1, 2); err == nil {
 		t.Error("OOB read accepted")
 	}
 	if err := inst.WriteMemory(PageSize-1, []byte{1, 2}); err == nil {
 		t.Error("OOB write accepted")
 	}
 	// Address arithmetic must not wrap.
-	if _, err := inst.ReadMemory(0xffffffff, 2); err == nil {
+	if _, err := inst.ViewMemory(0xffffffff, 2); err == nil {
 		t.Error("wrapping read accepted")
 	}
 }

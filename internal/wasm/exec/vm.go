@@ -31,6 +31,11 @@ type VM struct {
 	// next one.
 	stack  []uint64
 	height int
+	// args holds the arguments of the top-level invocation, so the
+	// caller's variadic slice never escapes; result is the one-value
+	// slot host functions return through Result.
+	args   []uint64
+	result [1]uint64
 
 	// Context carries host-defined state (the chain's apply context) that
 	// host functions retrieve via vm.Context.
@@ -48,6 +53,15 @@ func (vm *VM) Fuel() int64 { return vm.fuel }
 
 // Instance returns the instance this VM executes.
 func (vm *VM) Instance() *Instance { return vm.inst }
+
+// Result returns a one-value result slice for a host function to
+// return, backed by a slot the VM owns: returning it allocates nothing.
+// Both engines copy a host function's results out before they run
+// anything else, so the slot is free again once the host call returns.
+func (vm *VM) Result(v uint64) []uint64 {
+	vm.result[0] = v
+	return vm.result[:]
+}
 
 // Invoke calls the exported function with the given name.
 func (vm *VM) Invoke(name string, args ...uint64) ([]uint64, error) {
@@ -67,7 +81,10 @@ func (vm *VM) InvokeIndex(idx uint32, args ...uint64) ([]uint64, error) {
 	if len(args) != len(f.typ.Params) {
 		return nil, fmt.Errorf("exec: %s wants %d args, got %d", vm.inst.FuncName(idx), len(f.typ.Params), len(args))
 	}
-	res, err := vm.call(f, args)
+	// Both engines copy a function's arguments into its locals before
+	// they run it, so one VM-owned buffer serves every invocation.
+	vm.args = append(vm.args[:0], args...)
+	res, err := vm.call(f, vm.args)
 	if err != nil {
 		return nil, err
 	}
