@@ -65,12 +65,17 @@ type BatchConfig struct {
 	// MaxAttempts retries failed contracts with degraded budgets (reduced
 	// fuel, then concrete-only fuzzing). 0 or 1 disables retries.
 	MaxAttempts int
-	// Memo is inherited from Config ("off"/"on"/"shared"): in a batch it
-	// additionally reuses decoded modules across content-identical
-	// submissions and verdict reports across jobs, and with "shared" the
-	// cache outlives the batch (resumed or repeated batches start warm).
-	// Findings are unchanged at any worker count; only duplicated work is
-	// skipped. (The field itself lives on the embedded Config.)
+	// Memo is inherited from Config ("off"/"on"/"shared"). Whatever it
+	// says, a batch decodes content-identical Wasm bytes once into one
+	// module, so their jobs share one per-bytecode artifact on each worker
+	// (the instrumented and compiled module and its replay outcomes). Memo
+	// chooses the scope of that module tier: off keeps a tier private to
+	// the batch and turns on nothing else; on and shared decode through
+	// the memo cache, which also reuses solver answers and verdict
+	// reports, and with shared outlives the batch (resumed or repeated
+	// batches start warm). Findings are unchanged at any worker count;
+	// only duplicated work is skipped. (The field itself lives on the
+	// embedded Config.)
 }
 
 // DefaultBatchConfig returns the paper's per-contract configuration with
@@ -169,7 +174,7 @@ func AnalyzeBatch(ctx context.Context, jobs []BatchJob, cfg BatchConfig) (*Campa
 type Campaign struct {
 	cfg     BatchConfig
 	eng     *campaign.Engine
-	memo    *memo.Cache // the engine's cache; Submit decodes through it
+	modules *memo.Cache // Submit decodes through its module tier
 	start   time.Time
 	submits int
 
@@ -207,12 +212,19 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wasai: %w", err)
 	}
+	modules := memoCache
+	if modules == nil {
+		// Without memoization the batch still decodes each distinct
+		// binary once, through a cache of its own that the engine never
+		// sees: its solver and verdict tiers stay unused.
+		modules = memo.New()
+	}
 	c := &Campaign{
-		cfg:   cfg,
-		eng:   eng,
-		memo:  memoCache,
-		start: time.Now(),
-		out:   make(chan BatchResult),
+		cfg:     cfg,
+		eng:     eng,
+		modules: modules,
+		start:   time.Now(),
+		out:     make(chan BatchResult),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	// Collector: drains the engine without ever blocking on the consumer,
@@ -243,12 +255,12 @@ func (c *Campaign) Submit(job BatchJob) error {
 	mod := job.Module
 	contractABI := job.ABI
 	if mod == nil {
-		// Decode through the memo module tier (nil-safe: a plain decode
-		// when memoization is off): content-identical binaries across the
-		// batch — or across a resumed rerun with a shared cache — are
-		// decoded and validated once and share one immutable module.
+		// Decode through the module tier: content-identical binaries
+		// across the batch — or across a resumed rerun with a shared
+		// cache — are decoded and validated once and share one immutable
+		// module, and with it one artifact per worker.
 		var err error
-		mod, err = c.memo.Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
+		mod, err = c.modules.Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
 			m, err := wasm.Decode(bin)
 			if err != nil {
 				return nil, err

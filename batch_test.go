@@ -53,8 +53,17 @@ func batchContracts(tb testing.TB, n int) ([]*contractgen.Contract, []BatchJob) 
 // contracts with the documented seed derivation (base + index) — for every
 // contract and every vulnerability class.
 func TestAnalyzeBatchMatchesSerial(t *testing.T) {
-	const n = 12
-	contracts, jobs := batchContracts(t, n)
+	contracts, jobs := batchContracts(t, 12)
+	// Resubmit some byte-form contracts at later indices, so with other
+	// seeds: their jobs share one decoded module, and with it one artifact
+	// per worker, with the original's jobs.
+	for k, i := range []int{0, 4, 0, 8} {
+		dup := jobs[i]
+		dup.Name = fmt.Sprintf("dup%d-of-c%02d", k, i)
+		jobs = append(jobs, dup)
+		contracts = append(contracts, contracts[i])
+	}
+	n := len(jobs)
 
 	cfg := DefaultBatchConfig()
 	cfg.Iterations = 40

@@ -11,6 +11,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fuzz"
 	"repro/internal/memo"
+	"repro/internal/wasm"
 )
 
 // WildConfig tunes the RQ4 reproduction.
@@ -109,12 +110,18 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		}
 	}
 
-	// Sweep the population: one engine job per contract.
+	// Sweep the population: one engine job per contract, and one module
+	// per distinct bytecode in both passes.
+	modules := moduleTable{}
 	jobs := make([]campaign.Job, len(pop))
 	for i := range pop {
+		mod, err := modules.module(pop[i].Contract.Module)
+		if err != nil {
+			return nil, err
+		}
 		jobs[i] = campaign.Job{
 			Name:   pop[i].Name.String(),
-			Module: pop[i].Contract.Module,
+			Module: mod,
 			ABI:    pop[i].Contract.ABI,
 			Config: fuzzCfg(i),
 		}
@@ -168,9 +175,13 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 			res.Patched++
 			// Queue the latest (patched) version for re-analysis.
 			if wc.PatchedContract != nil {
+				mod, err := modules.module(wc.PatchedContract.Module)
+				if err != nil {
+					return nil, err
+				}
 				patchedJobs = append(patchedJobs, campaign.Job{
 					Name:   wc.Name.String() + "(patched)",
-					Module: wc.PatchedContract.Module,
+					Module: mod,
 					ABI:    wc.PatchedContract.ABI,
 					Config: fuzzCfg(i),
 				})
@@ -211,6 +222,25 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// moduleTable maps an encoded bytecode to the first module seen with it.
+// The generator builds a fresh module for every contract, but the wild
+// population repeats bytecode; handing the jobs one module per bytecode
+// lets each campaign worker build one artifact for all of them, as
+// AnalyzeBatch does for content-identical binaries it decodes.
+type moduleTable map[string]*wasm.Module
+
+func (t moduleTable) module(m *wasm.Module) (*wasm.Module, error) {
+	bin, err := wasm.Encode(m)
+	if err != nil {
+		return nil, fmt.Errorf("bench: encode wild contract: %w", err)
+	}
+	if first, ok := t[string(bin)]; ok {
+		return first, nil
+	}
+	t[string(bin)] = m
+	return m, nil
 }
 
 // failureClassOf resolves a failed job's class, falling back to chain

@@ -44,8 +44,11 @@ import (
 )
 
 // Job is one contract-fuzzing campaign in a batch. Module and ABI must be
-// fully decoded; the engine never mutates them (campaigns instrument a
-// copy), so many jobs may share one module.
+// fully decoded; the engine never mutates them, so many jobs may share one
+// module. Jobs that share a module pointer also share its per-bytecode
+// artifact on each worker (fuzz.Artifact: the instrumented copy, its
+// compiled form and the replay outcomes), so a worker instruments and
+// compiles the module once.
 type Job struct {
 	// ID orders the job in the batch and derives its RNG seed; Run assigns
 	// IDs by slice index.
@@ -255,12 +258,15 @@ func Start(ctx context.Context, cfg Config) (*Engine, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer e.wg.Done()
+			// The worker's artifacts serve every job it runs, a parked job it
+			// resumes or retries from scratch included, and die with it.
+			arts := &artifactCache{}
 			for job := range e.jobs {
-				e.settle(job)
+				e.settle(job, arts)
 			}
 			e.settled.Done()
 			for lj := range e.resume {
-				e.run(lj)
+				e.run(lj, arts)
 				e.deliver(lj)
 			}
 		}()
@@ -364,9 +370,9 @@ func (e *Engine) Report(results []JobResult, wall time.Duration) *Report {
 // settle runs one submitted job up to the fuel-ledger barrier. An adaptive
 // job that completed phase 1 parks with its fuzzer open; any other job is
 // final and delivered now.
-func (e *Engine) settle(job Job) {
+func (e *Engine) settle(job Job, arts *artifactCache) {
 	lj := &liveJob{job: job}
-	e.run(lj)
+	e.run(lj, arts)
 	e.mu.Lock()
 	if p, ok := lj.ledgerPhase(); ok && e.cfg.Adaptive {
 		e.phases = append(e.phases, p)
@@ -409,8 +415,9 @@ func (e *Engine) barrier() {
 // replay, the verdict skip and the retry loop (an adaptive job parks after
 // phase 1); a parked job through its grant and the finish. The whole loop
 // runs inline in the job's worker — retries never reschedule — so results
-// stay a pure function of the job, not of worker count or timing.
-func (e *Engine) run(lj *liveJob) {
+// stay a pure function of the job, not of worker count or timing. A fresh
+// fuzzer takes its artifact from the worker's table arts.
+func (e *Engine) run(lj *liveJob, arts *artifactCache) {
 	start := time.Now() //wasai:nondet JobResult.Duration is reporting-only, never fed back
 	defer func() {
 		if r := recover(); r != nil {
@@ -440,7 +447,7 @@ func (e *Engine) run(lj *liveJob) {
 		attempt--
 	}
 	for ; attempt < e.cfg.Retry.maxAttempts(); attempt++ {
-		res, mode, err := e.attempt(lj, attempt)
+		res, mode, err := e.attempt(lj, attempt, arts)
 		lj.jr.Attempts = attempt + 1
 		if err == nil {
 			lj.jr.Result, lj.jr.DegradedMode = res, mode
@@ -458,10 +465,12 @@ func (e *Engine) run(lj *liveJob) {
 
 // attempt runs one try of a job under its own deadline, panic isolation,
 // degradation schedule and fault-injection slice. A parked job resumes its
-// open fuzzer; otherwise the try starts a fresh one and runs phase 1, and
-// an adaptive job's first phase 1 parks it for the fuel ledger (a nil
-// result with a nil error). The rest spends the job's grant and finishes.
-func (e *Engine) attempt(lj *liveJob, attempt int) (res *fuzz.Result, mode string, err error) {
+// open fuzzer, which keeps the artifact it was built from; otherwise the
+// try starts a fresh one from the worker's artifact for the module and
+// runs phase 1, and an adaptive job's first phase 1 parks it for the fuel
+// ledger (a nil result with a nil error). The rest spends the job's grant
+// and finishes.
+func (e *Engine) attempt(lj *liveJob, attempt int, arts *artifactCache) (res *fuzz.Result, mode string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = nil
@@ -482,7 +491,11 @@ func (e *Engine) attempt(lj *liveJob, attempt int) (res *fuzz.Result, mode strin
 	if lj.parked {
 		lj.parked = false // a failed resume retries from scratch
 	} else {
-		if f, err = fuzz.New(lj.job.Module, lj.job.ABI, cfg); err != nil {
+		a, err := arts.artifact(lj.job.Module)
+		if err != nil {
+			return nil, mode, jobErr(lj.job, err)
+		}
+		if f, err = fuzz.NewFrom(a, lj.job.ABI, cfg); err != nil {
 			return nil, mode, jobErr(lj.job, err)
 		}
 		phase, err := f.RunPhase(ctx)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/abi"
 	"repro/internal/contractgen"
 	"repro/internal/faultinject"
 	"repro/internal/fuzz"
@@ -372,5 +374,28 @@ func TestTriageRunsObservedJobs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestVerdictCacheKeysOnActionNames: absint reads a job's module and its
+// ABI's action names, so jobs on one module whose ABIs are distinct values
+// with the same actions (the batch facade parses one per job) share one
+// report even without memoization, and a job whose ABI lists other actions
+// gets its own.
+func TestVerdictCacheKeysOnActionNames(t *testing.T) {
+	job := testJobs(t, 1, 1, 9)[0]
+	v := newVerdictCache(nil)
+	want := v.report(job)
+	for i := 0; i < 3; i++ {
+		copied := job
+		copied.ABI = &abi.ABI{Actions: slices.Clone(job.ABI.Actions)}
+		if got := v.report(copied); got != want {
+			t.Errorf("copy %d: an ABI with the same actions got report %p, want %p", i, got, want)
+		}
+	}
+	fewer := job
+	fewer.ABI = &abi.ABI{Actions: job.ABI.Actions[:len(job.ABI.Actions)-1]}
+	if got := v.report(fewer); got == want {
+		t.Error("an ABI with fewer actions was served the full ABI's report")
 	}
 }

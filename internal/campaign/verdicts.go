@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"repro/internal/abi"
@@ -28,18 +29,20 @@ import (
 // Everything else — Unknown verdicts, jobs with custom detectors or trace
 // capture — runs the full dynamic campaign unchanged.
 
-// verdictKey identifies one (module, ABI) pair by pointer. Jobs sharing
-// decoded forms (ablations, seed sweeps, memoized decodes) share the
-// analysis; the memo verdict tier extends reuse to content-equal modules.
+// verdictKey identifies what absint reads of a job: its module, by
+// pointer, and its ABI's action names in declaration order, 8 bytes each.
+// Jobs sharing a module share the analysis whichever *abi.ABI they carry
+// (the batch facade parses a fresh one per job); the memo verdict tier
+// extends reuse to content-equal modules.
 type verdictKey struct {
-	m *wasm.Module
-	a *abi.ABI
+	m       *wasm.Module
+	actions string
 }
 
-// verdictCache memoizes absint analysis per (module, ABI) pointer pair in
-// front of the memo verdict tier. The mutex guards only the map: each
-// key's analysis runs once, outside it, so a worker that needs one
-// module's report never waits behind another module's analysis.
+// verdictCache memoizes absint analysis per verdictKey in front of the
+// memo verdict tier. The mutex guards only the map: each key's analysis
+// runs once, outside it, so a worker that needs one module's report never
+// waits behind another module's analysis.
 type verdictCache struct {
 	mu sync.Mutex
 	//wasai:localcache pointer-identity fast path in front of the memo verdict tier
@@ -65,7 +68,8 @@ func (v *verdictCache) report(job Job) *absint.Report {
 	if job.Module == nil {
 		return nil
 	}
-	key := verdictKey{m: job.Module, a: job.ABI}
+	actions := abiActions(job.ABI)
+	key := verdictKey{m: job.Module, actions: actionsKey(actions)}
 	v.mu.Lock()
 	e, ok := v.reports[key]
 	if !ok {
@@ -76,9 +80,18 @@ func (v *verdictCache) report(job Job) *absint.Report {
 	e.once.Do(func() {
 		// memo.Verdict is nil-safe: without a cache it just runs the
 		// analysis.
-		e.rep = v.memo.Verdict(job.Module, abiActions(job.ABI), absint.Analyze)
+		e.rep = v.memo.Verdict(job.Module, actions, absint.Analyze)
 	})
 	return e.rep
+}
+
+// actionsKey packs action names into a map key.
+func actionsKey(actions []eos.Name) string {
+	b := make([]byte, 0, 8*len(actions))
+	for _, a := range actions {
+		b = binary.LittleEndian.AppendUint64(b, uint64(a))
+	}
+	return string(b)
 }
 
 // abiActions lists the ABI's action names in declaration order (the same

@@ -12,14 +12,12 @@ import (
 	"repro/internal/eos"
 	"repro/internal/failure"
 	"repro/internal/faultinject"
-	"repro/internal/instrument"
 	"repro/internal/scanner"
 	"repro/internal/schedule"
 	"repro/internal/symbolic"
 	"repro/internal/symexec"
 	"repro/internal/trace"
 	"repro/internal/wasm"
-	"repro/internal/wasm/exec"
 )
 
 // Well-known campaign accounts.
@@ -152,18 +150,16 @@ func ExpandCoverage(points []CoveragePoint, iterations int) []int {
 
 // Fuzzer is the WASAI engine bound to one target contract.
 type Fuzzer struct {
-	cfg      Config
-	mod      *wasm.Module // original (pre-instrumentation) module
-	instr    *instrument.Result
-	compiled *exec.CompiledModule // instr.Module, compiled once per job
-	abi      *abi.ABI
-	bc       *chain.Blockchain
-	scan     *scanner.Scanner
-	rng      *rand.Rand
-	solver   *symbolic.Solver
-	dbg      *DBG
-	seeds    *pool
-	actions  []eos.Name
+	cfg     Config
+	art     *Artifact // the target's instrumented and compiled forms
+	abi     *abi.ABI
+	bc      *chain.Blockchain
+	scan    *scanner.Scanner
+	rng     *rand.Rand
+	solver  *symbolic.Solver
+	dbg     *DBG
+	seeds   *pool
+	actions []eos.Name
 
 	ctx context.Context // the campaign context while RunContext is active
 
@@ -174,12 +170,12 @@ type Fuzzer struct {
 	replayErr int
 	iter      int
 
-	// replayer runs every Symback replay of the job, and replays skips
-	// those whose effect is already known (see feedback); Finish drops
-	// both. skipHook, set only by tests, sees every skipped replay, and
-	// recycleHook every trace buffer handed back to the collector.
+	// replayer runs every Symback replay of the job, and the artifact's
+	// replay cache skips those whose effect is already known (see
+	// feedback); Finish drops the replayer and the artifact. skipHook, set
+	// only by tests, sees every skipped replay, and recycleHook every trace
+	// buffer handed back to the collector.
 	replayer    *symexec.Replayer
-	replays     replayCache
 	skipHook    func(tr *trace.Trace, params []symexec.Param, cached *replayEntry)
 	recycleHook func(events []trace.Event)
 
@@ -221,15 +217,25 @@ type seedRef struct {
 	ok  bool
 }
 
-// New prepares a campaign against the contract `mod` with its ABI: it
-// instruments the bytecode (§3.3.1), initiates a local blockchain with the
-// auxiliary contracts of Algorithm 1 line 2 (eosio.token, the counterfeit
-// token, the notification-forwarding agent), and funds the accounts.
+// New prepares a campaign against the contract `mod` with its ABI on an
+// artifact of its own: it instruments the bytecode (§3.3.1) and compiles
+// it, then sets the campaign up as NewFrom does. A caller fuzzing one
+// module in several jobs builds the Artifact once and calls NewFrom.
 func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
-	res, err := instrument.Instrument(mod, instrument.ModeSparse)
+	a, err := NewArtifact(mod)
 	if err != nil {
-		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: instrument: %w", err))
+		return nil, err
 	}
+	return NewFrom(a, contractABI, cfg)
+}
+
+// NewFrom prepares a campaign against the artifact's contract with its
+// ABI: it initiates a local blockchain with the instrumented target and the
+// auxiliary contracts of Algorithm 1 line 2 (eosio.token, the counterfeit
+// token, the notification-forwarding agent), and funds the accounts. The
+// fuzzer reads the artifact and records its replay outcomes there; the
+// findings are those of New on the artifact's module.
+func NewFrom(a *Artifact, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	backend := cfg.Backend
 	if backend == nil {
 		backend = chain.EOSIO()
@@ -239,13 +245,7 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	if cfg.Fuel > 0 {
 		bc.Fuel = cfg.Fuel
 	}
-	// Compile the instrumented module once: the campaign chain and the
-	// scenario chain link their instances from it.
-	compiled, err := exec.Compile(res.Module)
-	if err != nil {
-		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: compile target: %w", err))
-	}
-	if err := bc.DeployModule(victimName, compiled, contractABI, res.Sites); err != nil {
+	if err := bc.DeployModule(victimName, a.compiled, contractABI, a.instr.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: deploy target: %w", err))
 	}
 	// Arm fault injection only after deployment: the faults model runtime
@@ -267,20 +267,17 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 
 	f := &Fuzzer{
 		cfg:            cfg,
-		mod:            mod,
-		instr:          res,
-		compiled:       compiled,
+		art:            a,
 		abi:            contractABI,
 		bc:             bc,
-		scan:           scanner.New(mod, victimName),
+		scan:           scanner.New(a.mod, victimName),
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		solver:         &symbolic.Solver{MaxConflicts: cfg.SolverConflicts},
 		dbg:            NewDBG(),
 		seeds:          newPool(),
 		coverage:       map[trace.BranchKey]struct{}{},
 		attempted:      map[symexec.BranchTarget]bool{},
-		replayer:       symexec.NewReplayer(mod),
-		replays:        replayCache{limit: maxReplayCacheEvents},
+		replayer:       symexec.NewReplayer(a.mod),
 		lastRevertRead: map[eos.Name]chain.DBOp{},
 	}
 	for _, act := range contractABI.Actions {
@@ -456,10 +453,11 @@ func (f *Fuzzer) Finish(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("fuzz: Finish called twice") //wasai:rawerr API-misuse guard, never reached by the drivers
 	}
 	f.finished = true
-	// The replayer and the replay cache are job-local, but a Fuzzer can
-	// outlive its job: the adaptive campaign holds every job's fuzzer until
-	// the whole batch ends.
-	f.replayer, f.replays = nil, replayCache{}
+	// A Fuzzer can outlive its job: the adaptive campaign holds every job's
+	// fuzzer until the whole batch ends. So it lets go of its replayer and
+	// of its artifact, with the replay outcomes, once the scenario pass
+	// has deployed the artifact's module.
+	defer func() { f.replayer, f.art = nil, nil }()
 	// Close the change-point series with a final sample so the series
 	// records how long the campaign ran.
 	if n := len(f.covSeries); f.iter > 0 && (n == 0 || f.covSeries[n-1].Iteration != f.iter) {
@@ -825,13 +823,15 @@ func (f *Fuzzer) recycle(traces []trace.Trace) {
 }
 
 // feedback replays one trace and turns unexplored flipped branches into
-// adaptive seeds. A trace the job already replayed under the same parameter
-// layout is not replayed again when the cached outcome settles the result:
-// a replay error counts as it would, and flip targets that are all covered
-// or attempted would have built an empty solver pool. Otherwise it replays.
+// adaptive seeds. A trace that a job on the artifact already replayed under
+// the same parameter layout and options is not replayed again when the
+// cached outcome settles the result: a replay error counts as it would, and
+// flip targets that this job has all covered or attempted would have built
+// an empty solver pool. Otherwise it replays.
 func (f *Fuzzer) feedback(seed Seed, params []symexec.Param, tr *trace.Trace) error {
 	fp := tr.Fingerprint()
-	cached := f.replays.lookup(fp, tr, params)
+	opaque := f.cfg.OpaqueInputs
+	cached := f.art.replays.lookup(fp, tr, params, opaque)
 	if cached != nil && (cached.err != nil || !slices.ContainsFunc(cached.targets, f.openTarget)) {
 		if f.skipHook != nil {
 			f.skipHook(tr, params, cached)
@@ -845,7 +845,7 @@ func (f *Fuzzer) feedback(seed Seed, params []symexec.Param, tr *trace.Trace) er
 		queries = symexec.FlipQueries(res)
 	}
 	if cached == nil {
-		f.replays.insert(fp, tr, params, err, queries)
+		f.art.replays.insert(fp, tr, params, opaque, err, queries)
 	}
 	if err != nil {
 		f.countReplayErr(err)
@@ -897,6 +897,7 @@ func (f *Fuzzer) feedback(seed Seed, params []symexec.Param, tr *trace.Trace) er
 // replay runs Symback over one trace of the target. The result is valid
 // until the next replay.
 func (f *Fuzzer) replay(tr *trace.Trace, params []symexec.Param) (*symexec.Result, error) {
+	work.replays.Add(1)
 	return symexec.Run(f.replayer, tr, params, symexec.Options{
 		Globals:      map[uint32]uint64{0: uint64(victimName)},
 		OpaqueInputs: f.cfg.OpaqueInputs,

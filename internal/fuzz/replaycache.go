@@ -2,30 +2,36 @@ package fuzz
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/eos"
 	"repro/internal/symexec"
 	"repro/internal/trace"
 )
 
-// maxReplayCacheEvents bounds the trace events one job's replay cache keeps
-// alive: 24 bytes per event, so 1.5 MiB. Across about 1,000
-// wild-population jobs the largest retained about 5,000. A full cache stops
-// inserting; a trace seen for the first time after that replays as if
-// there were no cache.
+// maxReplayCacheEvents bounds the trace events one artifact's replay cache
+// keeps alive: 24 bytes per event, so 1.5 MiB. An insert that would pass it
+// empties the cache first, so the later jobs of a busy artifact still cache
+// their new traces.
 const maxReplayCacheEvents = 1 << 16
 
-// replayCache remembers, for one job, what Symback made of each distinct
-// trace, so feedback runs symexec.Run once per distinct (action, event
-// sequence, parameter layout). The outcome is exact to reuse because Run is
-// a pure function of the module, the trace's events, the parameter types
-// with string lengths, and the options; the module and the options are
-// fixed per job, and concrete parameter values reach Run only through the
-// trace's HookParam events.
+// replayCache remembers, for one artifact, what Symback made of each
+// distinct trace, so the jobs fuzzing the artifact run symexec.Run once per
+// distinct (action, event sequence, parameter layout, OpaqueInputs). The
+// outcome is exact to reuse, within a job and across jobs, because Run is a
+// pure function of the module, the trace's events, the parameter types
+// with string lengths, and the options: the module is the artifact's, the
+// _self global is the constant victim name, OpaqueInputs is in the key, and
+// concrete parameter values reach Run only through the trace's HookParam
+// events. Entries are never changed once inserted, so a caller may read
+// the entry lookup returns after the lock is released.
 type replayCache struct {
-	//wasai:localcache job-local: one per Fuzzer, dropped in Finish and
-	// bounded by limit. It maps a trace fingerprint to the entries sharing
-	// it; a hit needs element-wise equality, so a collision costs a replay.
+	mu sync.Mutex
+	//wasai:localcache artifact-local: one per fuzz.Artifact, which lives
+	// in a campaign worker's table, or with one Fuzzer until Finish when
+	// New built it; bounded by limit. It maps a trace fingerprint to the
+	// entries sharing it; a hit needs element-wise equality, so a
+	// collision costs a replay.
 	buckets map[uint64][]replayEntry
 	// retained counts the events the entries keep alive; limit caps it.
 	retained, limit int
@@ -40,6 +46,7 @@ type replayEntry struct {
 	// observed the trace.
 	events  []trace.Event
 	layout  []paramShape
+	opaque  bool // the replay's Options.OpaqueInputs
 	err     error
 	targets []symexec.BranchTarget
 }
@@ -54,19 +61,21 @@ type paramShape struct {
 func shapeOf(p symexec.Param) paramShape { return paramShape{typ: p.Type, strLen: len(p.Str)} }
 
 // lookup returns the entry recorded for the trace under the parameter
-// layout, or nil.
-func (c *replayCache) lookup(fp uint64, tr *trace.Trace, params []symexec.Param) *replayEntry {
+// layout and the OpaqueInputs option, or nil.
+func (c *replayCache) lookup(fp uint64, tr *trace.Trace, params []symexec.Param, opaque bool) *replayEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	bucket := c.buckets[fp]
 	for i := range bucket {
-		if bucket[i].matches(tr, params) {
+		if bucket[i].matches(tr, params, opaque) {
 			return &bucket[i]
 		}
 	}
 	return nil
 }
 
-func (e *replayEntry) matches(tr *trace.Trace, params []symexec.Param) bool {
-	if e.action != tr.Action || len(e.layout) != len(params) {
+func (e *replayEntry) matches(tr *trace.Trace, params []symexec.Param, opaque bool) bool {
+	if e.action != tr.Action || e.opaque != opaque || len(e.layout) != len(params) {
 		return false
 	}
 	for i, p := range params {
@@ -77,18 +86,19 @@ func (e *replayEntry) matches(tr *trace.Trace, params []symexec.Param) bool {
 	return slices.Equal(e.events, tr.Events)
 }
 
-// insert records a replay's outcome unless that would take the cache past
-// its limit.
-func (c *replayCache) insert(fp uint64, tr *trace.Trace, params []symexec.Param, err error, queries []symexec.FlipQuery) {
+// insert records a replay's outcome. When that would take the cache past
+// its limit it empties the cache first; a trace longer than the limit
+// alone is not recorded.
+func (c *replayCache) insert(fp uint64, tr *trace.Trace, params []symexec.Param, opaque bool, err error, queries []symexec.FlipQuery) {
 	n := len(tr.Events)
-	if c.retained+n > c.limit {
+	if n > c.limit {
 		return
 	}
-	c.retained += n
 	e := replayEntry{
 		action: tr.Action,
 		events: slices.Clone(tr.Events),
 		layout: make([]paramShape, len(params)),
+		opaque: opaque,
 		err:    err,
 	}
 	for i, p := range params {
@@ -100,8 +110,13 @@ func (c *replayCache) insert(fp uint64, tr *trace.Trace, params []symexec.Param,
 			e.targets[i] = q.Target
 		}
 	}
-	if c.buckets == nil {
-		c.buckets = map[uint64][]replayEntry{}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.buckets == nil || c.retained+n > c.limit {
+		// Entries handed out before stay valid: the old map and its
+		// buckets are only dropped, never written.
+		c.buckets, c.retained = map[uint64][]replayEntry{}, 0
 	}
+	c.retained += n
 	c.buckets[fp] = append(c.buckets[fp], e)
 }

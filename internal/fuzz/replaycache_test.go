@@ -124,7 +124,7 @@ func TestReplayCacheSkipsAreExact(t *testing.T) {
 				}
 			}
 		})
-		_, want := runCase(t, tc, func(f *Fuzzer) { f.replays.limit = 0 })
+		_, want := runCase(t, tc, func(f *Fuzzer) { f.art.replays.limit = 0 })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: result with the replay cache differs from the uncached run", tc.name)
 		}
@@ -186,16 +186,16 @@ func TestReplayCacheNearMissesReplay(t *testing.T) {
 	// entries are added only after a replay ran.
 	replays := func(tr *trace.Trace, params []symexec.Param) bool {
 		t.Helper()
-		n := f.replays.entries()
+		n := f.art.replays.entries()
 		if err := f.feedback(seed, params, tr); err != nil {
 			t.Fatalf("feedback: %v", err)
 		}
-		return f.replays.entries() == n+1
+		return f.art.replays.entries() == n+1
 	}
 	if !replays(tr, params) {
 		t.Fatal("first sighting was not replayed and cached")
 	}
-	if f.replays.lookup(fp, tr, params) == nil {
+	if f.art.replays.lookup(fp, tr, params, false) == nil {
 		t.Fatal("cached trace does not hit")
 	}
 
@@ -206,7 +206,7 @@ func TestReplayCacheNearMissesReplay(t *testing.T) {
 	operand := *tr
 	operand.Events = slices.Clone(tr.Events)
 	operand.Events[mem].Operand++
-	if f.replays.lookup(fp, &operand, params) != nil {
+	if f.art.replays.lookup(fp, &operand, params, false) != nil {
 		t.Error("a trace differing in one Operand hit the cached trace's entry")
 	}
 	if !replays(&operand, params) {
@@ -215,7 +215,7 @@ func TestReplayCacheNearMissesReplay(t *testing.T) {
 
 	longer := slices.Clone(params)
 	longer[3].Str = []byte("memo!")
-	if f.replays.lookup(fp, tr, longer) != nil {
+	if f.art.replays.lookup(fp, tr, longer, false) != nil {
 		t.Error("a longer memo hit the cached layout")
 	}
 	if !replays(tr, longer) {
@@ -257,8 +257,9 @@ func TestReplayCacheCountsCachedErrors(t *testing.T) {
 	}
 }
 
-// TestFinishDropsReplayCache: the cache and the replayer live for one job,
-// so a phase after Finish is refused.
+// TestFinishDropsReplayCache: the replayer lives for one job and the
+// artifact with its replay cache for as long as its owner keeps it, so
+// Finish drops both from the fuzzer, and a phase after Finish is refused.
 func TestFinishDropsReplayCache(t *testing.T) {
 	tc := replayCacheCorpus(t)[0]
 	f, err := New(tc.c.Module, tc.c.ABI, tc.cfg)
@@ -268,15 +269,15 @@ func TestFinishDropsReplayCache(t *testing.T) {
 	if _, err := f.RunPhase(context.Background()); err != nil {
 		t.Fatalf("RunPhase: %v", err)
 	}
-	if f.replays.entries() == 0 || f.replays.retained == 0 {
+	if f.art.replays.entries() == 0 || f.art.replays.retained == 0 {
 		t.Fatal("the campaign cached no replay")
 	}
 	if _, err := f.Finish(context.Background()); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	if f.replays.buckets != nil || f.replays.retained != 0 || f.replays.limit != 0 {
-		t.Errorf("Finish kept the replay cache: %d entries, %d events retained, limit %d",
-			f.replays.entries(), f.replays.retained, f.replays.limit)
+	if f.art != nil {
+		t.Errorf("Finish kept the artifact: %d replay entries, %d events retained",
+			f.art.replays.entries(), f.art.replays.retained)
 	}
 	if f.replayer != nil {
 		t.Error("Finish kept the replayer")
@@ -286,37 +287,52 @@ func TestFinishDropsReplayCache(t *testing.T) {
 	}
 }
 
-// TestFullReplayCacheStopsInserting: a cache that reaches its limit keeps
-// what it has and stops inserting, and the campaign result does not move.
-func TestFullReplayCacheStopsInserting(t *testing.T) {
+// TestFullReplayCacheStartsOver: a cache that reaches its limit empties
+// itself to take a new trace, never retains more than the limit, and the
+// campaign result does not move.
+func TestFullReplayCacheStartsOver(t *testing.T) {
 	tc := replayCacheCorpus(t)[0]
-	run := func(limit int) (*Result, replayCache) {
-		f, err := New(tc.c.Module, tc.c.ABI, tc.cfg)
+	run := func(limit int) (*Result, *Artifact) {
+		a, err := NewArtifact(tc.c.Module)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("NewArtifact: %v", err)
 		}
-		f.replays.limit = limit
-		if _, err := f.RunPhase(context.Background()); err != nil {
-			t.Fatalf("RunPhase: %v", err)
-		}
-		cache := f.replays
-		res, err := f.Finish(context.Background())
+		a.replays.limit = limit
+		f, err := NewFrom(a, tc.c.ABI, tc.cfg)
 		if err != nil {
-			t.Fatalf("Finish: %v", err)
+			t.Fatalf("NewFrom: %v", err)
 		}
-		return res, cache
+		f.recycleHook = func([]trace.Event) {
+			if a.replays.retained > limit {
+				t.Errorf("cache retains %d events, limit %d", a.replays.retained, limit)
+			}
+		}
+		res, err := f.Run()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res, a
 	}
 	want, full := run(maxReplayCacheEvents)
-	limit := full.retained / 3
+	limit := full.replays.retained / 3
 	got, bounded := run(limit)
-	if bounded.retained > limit {
-		t.Errorf("cache retains %d events, limit %d", bounded.retained, limit)
-	}
-	if bounded.entries() == 0 || bounded.entries() >= full.entries() {
-		t.Errorf("bounded cache has %d entries, unbounded %d", bounded.entries(), full.entries())
+	c := &bounded.replays
+	if c.entries() == 0 || c.entries() >= full.replays.entries() {
+		t.Errorf("bounded cache has %d entries, unbounded %d", c.entries(), full.replays.entries())
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("a full replay cache changed the campaign result")
+	}
+
+	// A trace that does not fit beside what the cache holds replaces it.
+	tr := &trace.Trace{Action: contractgen.ActionReveal, Events: make([]trace.Event, limit-c.retained+1)}
+	c.insert(tr.Fingerprint(), tr, nil, false, nil, nil)
+	if c.lookup(tr.Fingerprint(), tr, nil, false) == nil {
+		t.Error("a full cache refused a new trace")
+	}
+	if c.retained != len(tr.Events) || c.entries() != 1 {
+		t.Errorf("after starting over the cache holds %d entries and %d events, want 1 and %d",
+			c.entries(), c.retained, len(tr.Events))
 	}
 }
 

@@ -101,7 +101,7 @@ func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
 	bc := chain.NewWithBackend(f.bc.Backend())
 	bc.Collector = trace.NewCollector()
 	bc.Fuel = f.bc.Fuel
-	if err := bc.DeployModule(victimName, f.compiled, f.abi, f.instr.Sites); err != nil {
+	if err := bc.DeployModule(victimName, f.art.compiled, f.abi, f.art.instr.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: scenario deploy: %w", err))
 	}
 	if err := bc.Issue(eos.TokenContract, victimName, eos.EOS(1_000_000_000_000)); err != nil {
