@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race fuzz lint chaos serve-chaos bench-regress bench-baseline fastvm verdict onchain adaptive profile verify
+.PHONY: build test race fuzz lint chaos serve-chaos bench-regress bench-baseline fastvm verdict onchain adaptive profile loc verify
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,11 @@ EXP ?= regress
 ARGS ?=
 profile:
 	$(GO) run ./cmd/wasai-bench -exp $(EXP) $(ARGS) -cpuprofile cpu.pprof -memprofile mem.pprof
+
+# Tracked non-test Go lines outside the benchmark module: the one command
+# behind every "net non-test Go" figure (it needs a git checkout).
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # The perfbench smoke test (its own module, so `./...` never runs it) runs
 # every benchmark workload on two seeds, untraced and traced, so a change

@@ -32,7 +32,12 @@ type BatchJob struct {
 	Module *wasm.Module
 	ABI    *abi.ABI
 	// Config, when non-nil, overrides the batch-level analysis Config for
-	// this job (its Seed is honoured verbatim; zero derives base+index).
+	// this job. The override honours the per-contract fields: Iterations,
+	// SolverConflicts, DisableFeedback, CustomAPIDetectors, Adaptive and
+	// SaturationWindow (the job's own power schedule; the fuel ledger is
+	// BatchConfig.Adaptive's), and Seed, verbatim (zero derives
+	// base+index). The engine options (Memo, StoreDir, Verdicts) and
+	// TraceFile are batch-wide, taken from BatchConfig alone.
 	Config *Config
 }
 
@@ -176,7 +181,9 @@ type Campaign struct {
 	eng     *campaign.Engine
 	modules *memo.Cache // Submit decodes through its module tier
 	start   time.Time
-	submits int
+
+	submitMu sync.Mutex // held across Submit: each job takes the next index
+	submits  int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -250,35 +257,17 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 // Submit enqueues one contract. It decodes eagerly so malformed binaries
 // fail fast (before occupying a worker) and blocks while the bounded queue
 // is full. It fails once the context is cancelled or Wait has been called.
+// Producers may call it concurrently; their contracts take indices in the
+// order their Submits run.
 func (c *Campaign) Submit(job BatchJob) error {
+	// The lock is held while the engine blocks on backpressure: Wait's
+	// Close, or cancelling the context, interrupts that wait.
+	c.submitMu.Lock()
+	defer c.submitMu.Unlock()
 	index := c.submits
-	mod := job.Module
-	contractABI := job.ABI
-	if mod == nil {
-		// Decode through the module tier: content-identical binaries
-		// across the batch — or across a resumed rerun with a shared
-		// cache — are decoded and validated once and share one immutable
-		// module, and with it one artifact per worker.
-		var err error
-		mod, err = c.modules.Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
-			m, err := wasm.Decode(bin)
-			if err != nil {
-				return nil, err
-			}
-			if err := wasm.Validate(m); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
-		if err != nil {
-			return failure.Wrap(failure.Decode, fmt.Errorf("wasai: batch job %d (%s): decode: %w", index, job.Name, err))
-		}
-	}
-	if contractABI == nil {
-		contractABI = new(abi.ABI)
-		if err := json.Unmarshal(job.ABIJSON, contractABI); err != nil {
-			return failure.Wrap(failure.Decode, fmt.Errorf("wasai: batch job %d (%s): parse abi: %w", index, job.Name, err))
-		}
+	mod, contractABI, err := job.decode(c.modules)
+	if err != nil {
+		return fmt.Errorf("wasai: batch job %d (%s): %w", index, job.Name, err)
 	}
 	jcfg := c.cfg.Config
 	seed := int64(0) // zero: the engine derives base seed + index
@@ -286,30 +275,68 @@ func (c *Campaign) Submit(job BatchJob) error {
 		jcfg = *job.Config
 		seed = jcfg.Seed
 	}
-	var customs []scanner.CustomDetector
-	for _, d := range jcfg.CustomAPIDetectors {
-		customs = append(customs, scanner.NewAPICallDetector(d.Name, mod, d.APIs...))
-	}
-	cjob := campaign.Job{
-		ID:     index,
-		Name:   job.Name,
-		Module: mod,
-		ABI:    contractABI,
-		Config: fuzz.Config{
-			Iterations:       jcfg.Iterations,
-			SolverConflicts:  jcfg.SolverConflicts,
-			DisableFeedback:  jcfg.DisableFeedback,
-			Seed:             seed,
-			CustomDetectors:  customs,
-			Adaptive:         jcfg.Adaptive,
-			SaturationWindow: jcfg.SaturationWindow,
-		},
-	}
-	if err := c.eng.Submit(cjob); err != nil {
+	if err := c.eng.Submit(jcfg.job(index, job.Name, mod, contractABI, seed)); err != nil {
 		return err
 	}
 	c.submits++
 	return nil
+}
+
+// decode returns the job's contract: the decoded forms where set, else the
+// binary decoded and validated through the module tier of modules (nil
+// decodes afresh) and the parsed ABI JSON. Content-identical binaries
+// across a batch, or across a resumed rerun with a shared cache, then
+// share one immutable module, and with it one artifact per worker.
+func (job BatchJob) decode(modules *memo.Cache) (*wasm.Module, *abi.ABI, error) {
+	mod, contractABI := job.Module, job.ABI
+	if mod == nil {
+		var err error
+		mod, err = modules.Module(job.Wasm, func(bin []byte) (*wasm.Module, error) {
+			m, err := wasm.Decode(bin)
+			if err != nil {
+				return nil, fmt.Errorf("decode contract: %w", err)
+			}
+			if err := wasm.Validate(m); err != nil {
+				return nil, fmt.Errorf("validate contract: %w", err)
+			}
+			return m, nil
+		})
+		if err != nil {
+			return nil, nil, failure.Wrap(failure.Decode, err)
+		}
+	}
+	if contractABI == nil {
+		contractABI = new(abi.ABI)
+		if err := json.Unmarshal(job.ABIJSON, contractABI); err != nil {
+			return nil, nil, failure.Wrap(failure.Decode, fmt.Errorf("parse abi: %w", err))
+		}
+	}
+	return mod, contractABI, nil
+}
+
+// job maps the analysis configuration onto one engine job: the budget,
+// feedback, seed (zero: the engine derives base seed + id), custom
+// detectors and the job's own adaptive schedule.
+func (cfg Config) job(id int, name string, mod *wasm.Module, contractABI *abi.ABI, seed int64) campaign.Job {
+	var customs []scanner.CustomDetector
+	for _, d := range cfg.CustomAPIDetectors {
+		customs = append(customs, scanner.NewAPICallDetector(d.Name, mod, d.APIs...))
+	}
+	return campaign.Job{
+		ID:     id,
+		Name:   name,
+		Module: mod,
+		ABI:    contractABI,
+		Config: fuzz.Config{
+			Iterations:       cfg.Iterations,
+			SolverConflicts:  cfg.SolverConflicts,
+			DisableFeedback:  cfg.DisableFeedback,
+			Seed:             seed,
+			CustomDetectors:  customs,
+			Adaptive:         cfg.Adaptive,
+			SaturationWindow: cfg.SaturationWindow,
+		},
+	}
 }
 
 // Results streams per-contract outcomes in completion order. The first
@@ -352,7 +379,9 @@ func (c *Campaign) Wait() *CampaignReport {
 	collected := c.results
 	c.mu.Unlock()
 
+	c.submitMu.Lock()
 	results := make([]campaign.JobResult, c.submits)
+	c.submitMu.Unlock()
 	for _, jr := range collected {
 		results[jr.Job.ID] = jr
 	}

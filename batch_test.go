@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -429,4 +430,46 @@ func classByName(t *testing.T, name string) contractgen.Class {
 	}
 	t.Fatalf("unknown class %q", name)
 	return 0
+}
+
+// TestCampaignConcurrentSubmit: producers submitting to one Campaign from
+// several goroutines each take an index of their own, so Wait reports every
+// contract exactly once, at the index it was given.
+func TestCampaignConcurrentSubmit(t *testing.T) {
+	const producers = 8
+	_, jobs := batchContracts(t, 4*producers)
+	cfg := DefaultBatchConfig()
+	cfg.Iterations = 2
+	cfg.Workers = 2
+	c, err := NewCampaign(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(jobs); i += producers {
+				if err := c.Submit(jobs[i]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	report := c.Wait()
+	if len(report.Jobs) != len(jobs) || report.Completed != len(jobs) {
+		t.Fatalf("jobs=%d completed=%d, want %d/%d", len(report.Jobs), report.Completed, len(jobs), len(jobs))
+	}
+	seen := map[string]bool{}
+	for i, br := range report.Jobs {
+		if br.Index != i || br.Report == nil {
+			t.Errorf("slot %d holds index %d (report %v)", i, br.Index, br.Report != nil)
+		}
+		seen[br.Name] = true
+	}
+	if len(seen) != len(jobs) {
+		t.Errorf("%d distinct contracts reported, want %d", len(seen), len(jobs))
+	}
 }

@@ -259,7 +259,11 @@ func BenchmarkInterpreter(b *testing.B) {
 		},
 	}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 0}}
-	inst, err := exec.Instantiate(m, nil)
+	c, err := exec.Compile(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := c.Link(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -83,6 +83,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/memo"
 )
 
@@ -165,13 +166,12 @@ func run() error {
 	}
 
 	opts := bench.Options{Scale: *scale, Seed: *seed}
+	// The engine options of the fig3, table and rq4 campaigns.
+	engine := campaign.Config{Workers: *workers, Memo: memoMode, Verdicts: *verdicts, Adaptive: *adaptive}
 	evalCfg := bench.DefaultEvalConfig()
 	evalCfg.FuzzIterations = *iters
 	evalCfg.Seed = *seed
-	evalCfg.Workers = *workers
-	evalCfg.Memo = memoMode
-	evalCfg.Verdicts = *verdicts
-	evalCfg.Adaptive = *adaptive
+	evalCfg.Engine = engine
 	tools := []bench.Tool{bench.ToolWASAI, bench.ToolEOSFuzzer, bench.ToolEOSAFE}
 
 	runExp := func(name string, f func() error) error {
@@ -191,10 +191,7 @@ func run() error {
 			cfg := bench.DefaultCoverageConfig()
 			cfg.Seed = *seed
 			cfg.Iterations = *iters
-			cfg.Workers = *workers
-			cfg.Memo = memoMode
-			cfg.Verdicts = *verdicts
-			cfg.Adaptive = *adaptive
+			cfg.Engine = engine
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
 			if cfg.NumContracts < 5 {
 				cfg.NumContracts = 5
@@ -272,13 +269,10 @@ func run() error {
 			cfg := bench.DefaultWildConfig()
 			cfg.Seed = *seed
 			cfg.FuzzIterations = *iters
-			cfg.Workers = *workers
-			cfg.Journal = *journal
-			cfg.Resume = *resume
-			cfg.MaxAttempts = *retries
-			cfg.Memo = memoMode
-			cfg.Verdicts = *verdicts
-			cfg.Adaptive = *adaptive
+			cfg.Engine = engine
+			cfg.Engine.Journal = *journal
+			cfg.Engine.Resume = *resume
+			cfg.Engine.Retry = campaign.RetryPolicy{MaxAttempts: *retries}
 			cfg.NumContracts = int(float64(cfg.NumContracts) * *scale)
 			if cfg.NumContracts < 20 {
 				cfg.NumContracts = 20

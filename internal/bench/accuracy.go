@@ -11,7 +11,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/contractgen"
 	"repro/internal/fuzz"
-	"repro/internal/memo"
 )
 
 // Counts are the confusion-matrix tallies for one detector on one class.
@@ -105,19 +104,9 @@ type EvalConfig struct {
 	FuzzIterations  int
 	SolverConflicts int64
 	Seed            int64
-	// Workers bounds sample-level parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Memo selects cross-job memoization for the WASAI campaigns
-	// (off/on/shared; findings are identical either way — the cache only
-	// removes duplicated solver/decode/static work).
-	Memo memo.Mode
-	// Verdicts enables abstract-interpretation verdict triage in the WASAI
-	// campaigns (findings are identical either way).
-	Verdicts bool
-	// Adaptive runs the WASAI campaigns under the coverage-driven power
-	// schedule and fuel ledger (internal/schedule). Deterministic at any
-	// worker count, but not digest-neutral against a static run.
-	Adaptive bool
+	// Engine runs the WASAI campaigns; its Workers also bound the
+	// baselines' sample-level parallelism.
+	Engine campaign.Config
 }
 
 // DefaultEvalConfig mirrors the paper's per-contract budget in deterministic
@@ -132,15 +121,14 @@ func DefaultEvalConfig() EvalConfig {
 // engine (each campaign owns its chain, so they are independent); WASAI
 // campaigns shard as engine jobs, the baselines through campaign.Each.
 func EvaluateAccuracy(ds *Dataset, tools []Tool, cfg EvalConfig) ([]AccuracyResult, error) {
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Verdicts: cfg.Verdicts, Adaptive: cfg.Adaptive}
 	results := make([]AccuracyResult, 0, len(tools))
 	for _, tool := range tools {
 		verdicts := make([]bool, len(ds.Samples))
 		var err error
 		if tool == ToolWASAI {
-			err = wasaiVerdicts(ds, cfg, engCfg, verdicts)
+			err = wasaiVerdicts(ds, cfg, verdicts)
 		} else {
-			err = campaign.Each(context.Background(), len(ds.Samples), engCfg, func(_ context.Context, i int) error {
+			err = campaign.Each(context.Background(), len(ds.Samples), cfg.Engine, func(_ context.Context, i int) error {
 				s := ds.Samples[i]
 				if !toolSupports(tool, s.Class) {
 					return nil
@@ -173,7 +161,7 @@ func EvaluateAccuracy(ds *Dataset, tools []Tool, cfg EvalConfig) ([]AccuracyResu
 // wasaiVerdicts shards the WASAI campaigns across the engine: one job per
 // supported sample, seeded by sample ID so the verdicts are independent of
 // worker count and scheduling.
-func wasaiVerdicts(ds *Dataset, cfg EvalConfig, engCfg campaign.Config, verdicts []bool) error {
+func wasaiVerdicts(ds *Dataset, cfg EvalConfig, verdicts []bool) error {
 	var (
 		jobs    []campaign.Job
 		samples []int // job index -> sample index
@@ -194,7 +182,7 @@ func wasaiVerdicts(ds *Dataset, cfg EvalConfig, engCfg campaign.Config, verdicts
 		})
 		samples = append(samples, i)
 	}
-	rep, err := campaign.Run(context.Background(), jobs, engCfg)
+	rep, err := campaign.Run(context.Background(), jobs, cfg.Engine)
 	if err != nil {
 		return err
 	}

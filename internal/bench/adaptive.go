@@ -59,11 +59,6 @@ type AdaptiveConfig struct {
 	// the pool sizes of the adaptive digest-identity leg.
 	WorkerCounts []int
 	Workers      int
-	// SaturationWindow overrides the adaptive saturation horizon
-	// (0 = engine default).
-	SaturationWindow int
-	// JournalDir receives the kill+resume leg's journal ("" = a temp dir).
-	JournalDir string
 }
 
 // DefaultAdaptiveConfig is the acceptance-gate shape: three corpora over
@@ -261,7 +256,7 @@ func EvaluateAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 			return nil, fmt.Errorf("bench: adaptive static corpus %d: %w", c, err)
 		}
 		adaptive, err := campaign.Run(context.Background(), adaptiveJobs(cfg, c, contracts),
-			campaign.Config{Workers: cfg.Workers, Adaptive: true, SaturationWindow: cfg.SaturationWindow})
+			campaign.Config{Workers: cfg.Workers, Adaptive: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: adaptive on corpus %d: %w", c, err)
 		}
@@ -299,7 +294,7 @@ func EvaluateAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	var refState string
 	for i, workers := range workerCounts {
 		rep, err := campaign.Run(context.Background(), adaptiveJobs(cfg, 0, firstCorpus),
-			campaign.Config{Workers: workers, Adaptive: true, SaturationWindow: cfg.SaturationWindow})
+			campaign.Config{Workers: workers, Adaptive: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: adaptive workers=%d: %w", workers, err)
 		}
@@ -311,18 +306,13 @@ func EvaluateAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	}
 
 	// Leg 3: kill+resume on the first corpus.
-	dir := cfg.JournalDir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "wasai-adaptive")
-		if err != nil {
-			return nil, fmt.Errorf("bench: adaptive journal dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "wasai-adaptive")
+	if err != nil {
+		return nil, fmt.Errorf("bench: adaptive journal dir: %w", err)
 	}
+	defer os.RemoveAll(dir)
 	journal := filepath.Join(dir, "adaptive.jsonl")
-	acfg := campaign.Config{Workers: cfg.Workers, Adaptive: true,
-		SaturationWindow: cfg.SaturationWindow, Journal: journal, JournalSync: 1}
+	acfg := campaign.Config{Workers: cfg.Workers, Adaptive: true, Journal: journal, JournalSync: 1}
 	full, err := campaign.Run(context.Background(), adaptiveJobs(cfg, 0, firstCorpus), acfg)
 	if err != nil {
 		return nil, fmt.Errorf("bench: adaptive journaled run: %w", err)

@@ -32,13 +32,6 @@ type ChaosConfig struct {
 	FaultRate float64
 	// MaxAttempts bounds retries; it must be ≥2 for recovery to be possible.
 	MaxAttempts int
-	// Memo selects memoization for the faulted leg (the clean baseline
-	// always runs cache-off). Running the faulted campaign with the cache
-	// on makes the verdict comparison also prove fault×memo hygiene:
-	// faulted attempts bypass the cache entirely (no reads, no writes, no
-	// hit accounting — see internal/memo), so an injected fault can never
-	// poison results shared with clean jobs.
-	Memo memo.Mode
 }
 
 // DefaultChaosConfig is the verify-gate smoke shape: small population,
@@ -50,7 +43,6 @@ func DefaultChaosConfig() ChaosConfig {
 		Seed:           7,
 		FaultRate:      0.2,
 		MaxAttempts:    3,
-		Memo:           memo.ModeOn,
 	}
 }
 
@@ -112,11 +104,16 @@ func EvaluateChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 
 	plan := &faultinject.Plan{Seed: cfg.Seed, Rate: cfg.FaultRate}
+	// The faulted leg runs with the cache on (the clean baseline runs
+	// cache-off), so the verdict comparison also proves fault×memo
+	// hygiene: faulted attempts bypass the cache entirely (no reads, no
+	// writes, no hit accounting — see internal/memo), so an injected
+	// fault can never poison results shared with clean jobs.
 	faulted, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{
 		Workers: cfg.Workers,
 		Faults:  plan,
 		Retry:   campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
-		Memo:    cfg.Memo,
+		Memo:    memo.ModeOn,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: chaos faulted run: %w", err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/contractgen"
 	"repro/internal/fuzz"
-	"repro/internal/memo"
 )
 
 // CoverageConfig tunes the RQ1 experiment: NumContracts "real-world-like"
@@ -22,17 +21,9 @@ type CoverageConfig struct {
 	Seed         int64
 	// SamplePoints is how many x-axis points the series keeps.
 	SamplePoints int
-	// Workers bounds campaign-engine parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Memo selects cross-job memoization for the WASAI campaigns
-	// (coverage curves are identical either way).
-	Memo memo.Mode
-	// Verdicts enables abstract-interpretation verdict triage (coverage
-	// points come only from executed jobs; findings are identical).
-	Verdicts bool
-	// Adaptive runs the WASAI side under the coverage-driven power schedule
-	// and fuel ledger; the EOSFuzzer baseline stays static either way.
-	Adaptive bool
+	// Engine runs the WASAI campaigns. The EOSFuzzer baseline runs on its
+	// Workers and stays static whatever Adaptive says.
+	Engine campaign.Config
 }
 
 // DefaultCoverageConfig mirrors the RQ1 setup at simulator scale.
@@ -67,7 +58,6 @@ func EvaluateCoverage(cfg CoverageConfig) ([]CoverageSeries, error) {
 	// Both tools run on the campaign engine: WASAI campaigns as engine jobs,
 	// the baseline through campaign.Each. Per-contract series are summed
 	// serially afterwards, so the curves are worker-count invariant.
-	engCfg := campaign.Config{Workers: cfg.Workers, Memo: cfg.Memo, Verdicts: cfg.Verdicts, Adaptive: cfg.Adaptive}
 	jobs := make([]campaign.Job, len(contracts))
 	for i, c := range contracts {
 		jobs[i] = campaign.Job{
@@ -81,12 +71,12 @@ func EvaluateCoverage(cfg CoverageConfig) ([]CoverageSeries, error) {
 			},
 		}
 	}
-	rep, err := campaign.Run(context.Background(), jobs, engCfg)
+	rep, err := campaign.Run(context.Background(), jobs, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
 	eresults := make([]*eosfuzzer.Result, len(contracts))
-	err = campaign.Each(context.Background(), len(contracts), engCfg, func(_ context.Context, i int) error {
+	err = campaign.Each(context.Background(), len(contracts), cfg.Engine, func(_ context.Context, i int) error {
 		eres, err := eosfuzzer.Run(contracts[i].Module, contracts[i].ABI, eosfuzzer.Config{
 			Iterations: cfg.Iterations,
 			Seed:       cfg.Seed + int64(i),

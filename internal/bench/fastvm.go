@@ -160,10 +160,14 @@ func EvaluateFastVM(cfg FastVMConfig) (*FastVMResult, error) {
 		return nil, err
 	}
 
+	c, err := exec.Compile(m)
+	if err != nil {
+		return nil, fmt.Errorf("bench: hot compile: %w", err)
+	}
 	run := func(fast bool) (uint64, int64, time.Duration, error) {
-		inst, err := exec.Instantiate(m, nil)
+		inst, err := c.Link(nil)
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("bench: hot instantiate: %w", err)
+			return 0, 0, 0, fmt.Errorf("bench: hot link: %w", err)
 		}
 		var result uint64
 		var fuel int64

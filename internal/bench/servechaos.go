@@ -50,9 +50,6 @@ type ServeChaosConfig struct {
 	// TenantMaxQueued is the per-tenant admission limit; the burst
 	// exceeds it so shedding must engage.
 	TenantMaxQueued int
-	// StoreDir, when non-empty, attaches the durable memo store (the
-	// default uses a temporary directory).
-	StoreDir string
 }
 
 // DefaultServeChaosConfig is the verify-gate smoke shape: three tenants
@@ -109,10 +106,6 @@ func EvaluateServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dataDir)
-	storeDir := cfg.StoreDir
-	if storeDir == "" {
-		storeDir = dataDir + "/store"
-	}
 
 	s, err := serve.New(serve.Config{
 		DataDir: dataDir,
@@ -122,7 +115,7 @@ func EvaluateServeChaos(cfg ServeChaosConfig) (*ServeChaosResult, error) {
 			TenantMaxQueued:  cfg.TenantMaxQueued,
 			RetryAfter:       2 * time.Second,
 		},
-		StoreDir: storeDir,
+		StoreDir: dataDir + "/store",
 	})
 	if err != nil {
 		return nil, err

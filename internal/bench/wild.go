@@ -10,7 +10,6 @@ import (
 	"repro/internal/contractgen"
 	"repro/internal/failure"
 	"repro/internal/fuzz"
-	"repro/internal/memo"
 	"repro/internal/wasm"
 )
 
@@ -19,25 +18,9 @@ type WildConfig struct {
 	NumContracts   int
 	FuzzIterations int
 	Seed           int64
-	// Workers bounds campaign-engine parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Journal checkpoints the sweep to this JSONL path; Resume replays
-	// contracts already journaled there (see internal/campaign).
-	Journal string
-	Resume  bool
-	// MaxAttempts retries failed contracts with degraded budgets.
-	MaxAttempts int
-	// Memo selects cross-job memoization (off/on/shared); a resumed sweep
-	// with "shared" starts with the interrupted run's warm cache.
-	Memo memo.Mode
-	// Verdicts enables abstract-interpretation verdict triage: jobs with
-	// all classes proven negative skip execution, proven-positive jobs
-	// schedule confirmed-first (findings are identical either way).
-	Verdicts bool
-	// Adaptive runs the sweep under the coverage-driven power schedule and
-	// campaign fuel ledger. Deterministic at any worker count, but not
-	// digest-neutral against a static sweep — it changes which inputs run.
-	Adaptive bool
+	// Engine runs both passes; the patched-version pass journals to a
+	// file of its own.
+	Engine campaign.Config
 }
 
 // DefaultWildConfig mirrors §4.4: 991 profitable contracts.
@@ -93,15 +76,6 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 		PerClassAccuracy: map[contractgen.Class]Counts{},
 		PerFailure:       map[failure.Class]int{},
 	}
-	engCfg := campaign.Config{
-		Workers:  cfg.Workers,
-		Journal:  cfg.Journal,
-		Resume:   cfg.Resume,
-		Retry:    campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
-		Memo:     cfg.Memo,
-		Verdicts: cfg.Verdicts,
-		Adaptive: cfg.Adaptive,
-	}
 	fuzzCfg := func(i int) fuzz.Config {
 		return fuzz.Config{
 			Iterations:      cfg.FuzzIterations,
@@ -126,7 +100,7 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 			Config: fuzzCfg(i),
 		}
 	}
-	rep, err := campaign.Run(context.Background(), jobs, engCfg)
+	rep, err := campaign.Run(context.Background(), jobs, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +170,7 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 	if len(patchedJobs) > 0 {
 		// The second batch checkpoints to its own file: sharing the path
 		// would truncate the main sweep's journal.
-		patchedCfg := engCfg
+		patchedCfg := cfg.Engine
 		if patchedCfg.Journal != "" {
 			patchedCfg.Journal += ".patched"
 		}

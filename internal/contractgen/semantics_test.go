@@ -19,9 +19,13 @@ func runSemReference(t *testing.T, p *SemProgram) (uint64, []uint64, error) {
 			return nil, nil
 		},
 	}}
-	inst, err := exec.Instantiate(p.Module, resolver)
+	c, err := exec.Compile(p.Module)
 	if err != nil {
-		t.Fatalf("Instantiate: %v", err)
+		t.Fatalf("Compile: %v", err)
+	}
+	inst, err := c.Link(resolver)
+	if err != nil {
+		t.Fatalf("Link: %v", err)
 	}
 	res, err := exec.NewVM(inst).Invoke("run")
 	if err != nil {

@@ -123,9 +123,13 @@ func TestInstrumentedExecutionMatches(t *testing.T) {
 		if withHooks {
 			r[HookModule] = noopHooks
 		}
-		inst, err := exec.Instantiate(mod, r)
+		c, err := exec.Compile(mod)
 		if err != nil {
-			t.Fatalf("instantiate: %v", err)
+			t.Fatalf("compile: %v", err)
+		}
+		inst, err := c.Link(r)
+		if err != nil {
+			t.Fatalf("link: %v", err)
 		}
 		if _, err := exec.NewVM(inst).Invoke("main", 7); err != nil {
 			t.Fatalf("invoke: %v", err)
@@ -172,12 +176,16 @@ func TestHookEventCapture(t *testing.T) {
 	} {
 		hooks[h] = record(h)
 	}
-	inst, err := exec.Instantiate(res.Module, exec.Resolver{
+	c, err := exec.Compile(res.Module)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	inst, err := c.Link(exec.Resolver{
 		"env":      exec.HostModule{"sink": func(vm *exec.VM, args []uint64) ([]uint64, error) { return nil, nil }},
 		HookModule: hooks,
 	})
 	if err != nil {
-		t.Fatalf("instantiate: %v", err)
+		t.Fatalf("link: %v", err)
 	}
 	if _, err := exec.NewVM(inst).Invoke("main", 5); err != nil {
 		t.Fatalf("invoke: %v", err)

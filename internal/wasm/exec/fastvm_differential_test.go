@@ -33,7 +33,7 @@ func newSemRunner(t *testing.T, p *contractgen.SemProgram) *semRunner {
 			return nil, nil
 		},
 	}}
-	inst, err := Instantiate(p.Module, resolver)
+	inst, err := instantiate(p.Module, resolver)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}

@@ -52,7 +52,7 @@ const fuzzFuel = 1 << 20
 // fuzzRun invokes every zero-parameter exported function of m in export
 // order on one engine and returns the aggregate observable behaviour.
 func fuzzRun(m *wasm.Module, fast bool) (outcomes []semOutcome, calls []hostCall, ok bool) {
-	inst, err := Instantiate(m, fuzzResolver(m, &calls))
+	inst, err := instantiate(m, fuzzResolver(m, &calls))
 	if err != nil {
 		return nil, nil, false
 	}

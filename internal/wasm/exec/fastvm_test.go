@@ -27,7 +27,7 @@ func memHash(b []byte) uint64 {
 // runEngine instantiates m fresh and invokes "f" on one engine.
 func runEngine(t *testing.T, m *wasm.Module, fast bool, fuel int64, args ...uint64) diffOutcome {
 	t.Helper()
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -356,7 +356,7 @@ func TestFastObserver(t *testing.T) {
 	m := buildModule(t, nil, i32, nil, []wasm.Instr{
 		wasm.I32Const(2), wasm.I32Const(3), wasm.Op0(wasm.OpI32Add),
 	})
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}

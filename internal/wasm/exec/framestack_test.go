@@ -83,7 +83,7 @@ func TestFastInvokeAllocatesNothing(t *testing.T) {
 	}}
 	for name, newVM := range map[string]func(*Instance) *VM{"fast": NewFastVM, "reference": NewVM} {
 		t.Run(name, func(t *testing.T) {
-			inst, err := Instantiate(callChainModule(t), imports)
+			inst, err := instantiate(callChainModule(t), imports)
 			if err != nil {
 				t.Fatalf("Instantiate: %v", err)
 			}
@@ -148,7 +148,7 @@ func TestRecursionDepthParity(t *testing.T) {
 	m := recursionModule(t)
 	vms := map[string]*VM{}
 	for name, newVM := range map[string]func(*Instance) *VM{"reference": NewVM, "fast": NewFastVM} {
-		inst, err := Instantiate(m, nil)
+		inst, err := instantiate(m, nil)
 		if err != nil {
 			t.Fatalf("Instantiate: %v", err)
 		}
@@ -217,7 +217,7 @@ func TestFrameStackUnwindsInNestedFrames(t *testing.T) {
 	}
 
 	reentered := false
-	inst, err := Instantiate(m, Resolver{"env": HostModule{
+	inst, err := instantiate(m, Resolver{"env": HostModule{
 		"boom": func(*VM, []uint64) ([]uint64, error) { panic("host bug") },
 		"reenter": func(vm *VM, _ []uint64) ([]uint64, error) {
 			reentered = true
@@ -272,7 +272,7 @@ func TestFrameStackUnwindsInNestedFrames(t *testing.T) {
 func TestInvokeResultsDoNotAlias(t *testing.T) {
 	m := buildModule(t, []wasm.ValType{wasm.I64}, []wasm.ValType{wasm.I64}, nil,
 		[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(0), wasm.Op0(wasm.OpI64Add)})
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}

@@ -74,17 +74,6 @@ type Instance struct {
 	MaxCallDepth int
 }
 
-// Instantiate compiles m and links it against r, for callers that run a
-// module once. The start function, if any, is NOT run automatically
-// (EOSIO contracts do not use it); call Invoke explicitly.
-func Instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
-	c, err := Compile(m)
-	if err != nil {
-		return nil, err
-	}
-	return c.Link(r)
-}
-
 // Compile derives the module-level execution state of m and runs
 // data/element segment initialization into the compiled images.
 func Compile(m *wasm.Module) (*CompiledModule, error) {
@@ -185,7 +174,9 @@ func Compile(m *wasm.Module) (*CompiledModule, error) {
 }
 
 // Link binds the imported functions to r and returns a fresh instance
-// with its own copy of the memory image and globals.
+// with its own copy of the memory image and globals. The start function,
+// if any, is NOT run (EOSIO contracts do not use it); call Invoke
+// explicitly.
 func (c *CompiledModule) Link(r Resolver) (*Instance, error) {
 	funcs := append([]funcDef(nil), c.funcs...)
 	i := 0

@@ -44,7 +44,7 @@ func TestI64OpsMatchGo(t *testing.T) {
 	for _, tc := range cases {
 		m := buildModule(t, i64, r64, nil,
 			[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(1), wasm.Op0(tc.op)})
-		inst, err := Instantiate(m, nil)
+		inst, err := instantiate(m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestI32OpsQuick(t *testing.T) {
 	m := buildModule(t,
 		[]wasm.ValType{wasm.I32, wasm.I32}, []wasm.ValType{wasm.I32}, nil,
 		[]wasm.Instr{wasm.LocalGet(0), wasm.LocalGet(1), wasm.Op0(wasm.OpI32Mul)})
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestGlobalMutation(t *testing.T) {
 		wasm.End(),
 	}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 0}}
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestDataSegmentInitialization(t *testing.T) {
 func TestDataSegmentOutOfBoundsRejected(t *testing.T) {
 	m := buildModule(t, nil, nil, nil, []wasm.Instr{})
 	m.Data = []wasm.DataSegment{{Offset: []wasm.Instr{wasm.I32Const(PageSize - 1)}, Data: []byte{1, 2}}}
-	if _, err := Instantiate(m, nil); err == nil {
+	if _, err := instantiate(m, nil); err == nil {
 		t.Error("out-of-bounds data segment accepted")
 	}
 }
@@ -211,7 +211,7 @@ func TestDataSegmentOutOfBoundsRejected(t *testing.T) {
 func TestInvokeErrors(t *testing.T) {
 	m := buildModule(t, []wasm.ValType{wasm.I64}, []wasm.ValType{wasm.I64}, nil,
 		[]wasm.Instr{wasm.LocalGet(0)})
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestInvokeErrors(t *testing.T) {
 
 func TestInstanceMemoryHelpers(t *testing.T) {
 	m := buildModule(t, nil, nil, nil, []wasm.Instr{})
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +255,10 @@ func TestUnresolvedImportFailsInstantiate(t *testing.T) {
 	m := &wasm.Module{FuncNames: map[uint32]string{}}
 	ti := m.AddType(wasm.FuncType{})
 	m.Imports = []wasm.Import{{Module: "env", Name: "missing", Kind: wasm.ExternalFunc, TypeIndex: ti}}
-	if _, err := Instantiate(m, nil); err == nil {
+	if _, err := instantiate(m, nil); err == nil {
 		t.Error("unresolved import accepted")
 	}
-	if _, err := Instantiate(m, Resolver{"env": HostModule{}}); err == nil {
+	if _, err := instantiate(m, Resolver{"env": HostModule{}}); err == nil {
 		t.Error("unresolved import name accepted")
 	}
 }

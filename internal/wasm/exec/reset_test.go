@@ -67,13 +67,13 @@ var dirtyImports = Resolver{"env": {"poke": func(vm *VM, _ []uint64) ([]uint64, 
 // first — on both engines.
 func TestResetMatchesFreshInstance(t *testing.T) {
 	m := dirtyModule(t)
-	fresh, err := Instantiate(m, dirtyImports)
+	fresh, err := instantiate(m, dirtyImports)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
 	for _, fn := range []string{"f", "g"} {
 		for _, fast := range []bool{false, true} {
-			inst, err := Instantiate(m, dirtyImports)
+			inst, err := instantiate(m, dirtyImports)
 			if err != nil {
 				t.Fatalf("Instantiate: %v", err)
 			}
@@ -142,7 +142,7 @@ func TestFastVMsShareCompiledProgram(t *testing.T) {
 			t.Fatalf("fast VM %d has program %p, VM 0 has %p: instances of one compiled module must share its IR", i, p, progs[0])
 		}
 	}
-	other, err := Instantiate(m, dirtyImports)
+	other, err := instantiate(m, dirtyImports)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}

@@ -7,6 +7,16 @@ import (
 	"repro/internal/wasm"
 )
 
+// instantiate compiles m and links it against r, for tests that run a
+// module once.
+func instantiate(m *wasm.Module, r Resolver) (*Instance, error) {
+	c, err := Compile(m)
+	if err != nil {
+		return nil, err
+	}
+	return c.Link(r)
+}
+
 // buildModule assembles a module with a single exported function "f" of the
 // given signature and body, for interpreter tests.
 func buildModule(t *testing.T, params, results []wasm.ValType, locals []wasm.LocalDecl, body []wasm.Instr) *wasm.Module {
@@ -25,7 +35,7 @@ func buildModule(t *testing.T, params, results []wasm.ValType, locals []wasm.Loc
 
 func run1(t *testing.T, m *wasm.Module, args ...uint64) (uint64, error) {
 	t.Helper()
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -122,7 +132,7 @@ func TestDivideByZeroTraps(t *testing.T) {
 
 func TestUnreachableTraps(t *testing.T) {
 	m := buildModule(t, nil, nil, nil, []wasm.Instr{wasm.Unreachable()})
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -246,7 +256,7 @@ func TestHostFunctionCall(t *testing.T) {
 			return []uint64{args[0] * 2}, nil
 		},
 	}}
-	inst, err := Instantiate(m, r)
+	inst, err := instantiate(m, r)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -271,7 +281,7 @@ func TestHostErrorBecomesTrap(t *testing.T) {
 	r := Resolver{"env": HostModule{
 		"boom": func(vm *VM, args []uint64) ([]uint64, error) { return nil, sentinel },
 	}}
-	inst, err := Instantiate(m, r)
+	inst, err := instantiate(m, r)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -294,7 +304,7 @@ func TestCallIndirect(t *testing.T) {
 	m.Elems = []wasm.ElemSegment{{Offset: []wasm.Instr{wasm.I32Const(0)}, Funcs: []uint32{0, 1}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 2}}
 
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -318,7 +328,7 @@ func TestFuelExhaustion(t *testing.T) {
 	// Infinite loop.
 	body := []wasm.Instr{wasm.Loop(), wasm.Br(0), wasm.End()}
 	m := buildModule(t, nil, nil, nil, body)
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}
@@ -336,7 +346,7 @@ func TestRecursionDepthLimit(t *testing.T) {
 	m.Funcs = []uint32{ti}
 	m.Code = []wasm.Code{{Body: []wasm.Instr{wasm.Call(0), wasm.End()}}}
 	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternalFunc, Index: 0}}
-	inst, err := Instantiate(m, nil)
+	inst, err := instantiate(m, nil)
 	if err != nil {
 		t.Fatalf("Instantiate: %v", err)
 	}

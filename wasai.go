@@ -28,17 +28,15 @@
 package wasai
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-
 	"os"
 
 	"repro/internal/abi"
+	"repro/internal/campaign"
 	"repro/internal/contractgen"
 	"repro/internal/fuzz"
 	"repro/internal/memo"
-	"repro/internal/scanner"
-	"repro/internal/static/absint"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wasm"
@@ -65,11 +63,11 @@ type Config struct {
 	// flags the contract when any of its named host APIs is executed.
 	CustomAPIDetectors []APIDetector
 	// Memo selects cross-job memoization ("off"/""/default, "on",
-	// "shared"; see internal/memo): decoded modules, static reports and
-	// canonicalized solver-query verdicts are reused instead of
-	// recomputed. "on" scopes the cache to one campaign or batch,
-	// "shared" to the whole process. Memoization never changes findings;
-	// it only removes duplicated work.
+	// "shared"; see internal/memo): canonicalized solver-query verdicts,
+	// the verdict engine's reports and, in a batch, decoded modules are
+	// reused instead of recomputed. "on" scopes the cache to one campaign
+	// or batch, "shared" to the whole process. Memoization never changes
+	// findings; it only removes duplicated work.
 	Memo string
 	// StoreDir, when non-empty, backs the memo with the disk-based
 	// content-addressed store at that directory (internal/store), shared
@@ -173,54 +171,39 @@ func (r *Report) Class(name string) (Finding, bool) {
 // Analyze runs a WASAI campaign against the contract binary with its ABI
 // (in the simplified EOSIO ABI JSON form; see the abi package).
 func Analyze(wasmBin []byte, abiJSON []byte, cfg Config) (*Report, error) {
-	mod, err := wasm.Decode(wasmBin)
+	mod, contractABI, err := BatchJob{Wasm: wasmBin, ABIJSON: abiJSON}.decode(nil)
 	if err != nil {
-		return nil, fmt.Errorf("wasai: decode contract: %w", err)
+		return nil, fmt.Errorf("wasai: %w", err)
 	}
-	if err := wasm.Validate(mod); err != nil {
-		return nil, fmt.Errorf("wasai: validate contract: %w", err)
-	}
-	var contractABI abi.ABI
-	if err := json.Unmarshal(abiJSON, &contractABI); err != nil {
-		return nil, fmt.Errorf("wasai: parse abi: %w", err)
-	}
-	return AnalyzeModule(mod, &contractABI, cfg)
+	return AnalyzeModule(mod, contractABI, cfg)
 }
 
-// AnalyzeModule is Analyze for an already-decoded module and ABI.
+// AnalyzeModule is Analyze for an already-decoded module and ABI. It runs
+// the contract as a one-job campaign, so a panic comes back as a
+// classified error.
 func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report, error) {
-	var customs []scanner.CustomDetector
-	for _, d := range cfg.CustomAPIDetectors {
-		customs = append(customs, scanner.NewAPICallDetector(d.Name, mod, d.APIs...))
-	}
 	// Even a single campaign profits from the solver tier: the concolic
 	// loop re-solves unflippable branch queries every time coverage grows.
 	cache, err := cfg.openMemo()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Verdicts && len(customs) == 0 && cfg.TraceFile == "" {
-		if vr := cache.Verdict(mod, actionNames(contractABI), absint.Analyze); vr.AllNegative() {
-			return newReport(&fuzz.Result{Report: scanner.NewReport(), Custom: map[string]bool{}}), nil
-		}
-	}
-	f, err := fuzz.New(mod, contractABI, fuzz.Config{
-		Iterations:       cfg.Iterations,
-		SolverConflicts:  cfg.SolverConflicts,
-		DisableFeedback:  cfg.DisableFeedback,
-		Seed:             cfg.Seed,
-		KeepTraces:       cfg.TraceFile != "",
-		CustomDetectors:  customs,
-		Memo:             cache.SolverMemo(),
-		Adaptive:         cfg.Adaptive,
-		SaturationWindow: cfg.SaturationWindow,
+	job := cfg.job(0, "", mod, contractABI, cfg.Seed)
+	job.Config.KeepTraces = cfg.TraceFile != ""
+	// The campaign's fuel ledger stays off: it would regrant a lone job its
+	// own unspent budget, and a single contract's adaptive schedule stops
+	// at saturation.
+	rep, err := campaign.Run(context.Background(), []campaign.Job{job}, campaign.Config{
+		Workers:   1,
+		Verdicts:  cfg.Verdicts,
+		MemoCache: cache,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("wasai: %w", err)
 	}
-	res, err := f.Run()
-	if err != nil {
-		return nil, fmt.Errorf("wasai: campaign: %w", err)
+	res := rep.Results[0]
+	if res.Err != nil {
+		return nil, fmt.Errorf("wasai: %w", res.Err)
 	}
 	if cfg.TraceFile != "" {
 		out, err := os.Create(cfg.TraceFile)
@@ -228,11 +211,11 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 			return nil, fmt.Errorf("wasai: trace file: %w", err)
 		}
 		defer out.Close()
-		if err := trace.Write(out, res.Traces); err != nil {
+		if err := trace.Write(out, res.Result.Traces); err != nil {
 			return nil, fmt.Errorf("wasai: write traces: %w", err)
 		}
 	}
-	return newReport(res), nil
+	return newReport(res.Result), nil
 }
 
 // openMemo resolves the configuration's memo cache: nil when memoization

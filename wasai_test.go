@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/abi"
 	"repro/internal/contractgen"
+	"repro/internal/failure"
+	"repro/internal/fuzz"
 	"repro/internal/instrument"
 	"repro/internal/symexec"
 	"repro/internal/trace"
@@ -59,6 +62,11 @@ func TestAnalyzeRejectsGarbage(t *testing.T) {
 	bin, _ := wasmpkg.Encode(c.Module)
 	if _, err := Analyze(bin, []byte("not json"), DefaultConfig()); err == nil {
 		t.Error("want ABI parse error")
+	}
+	// A nil ABI panics inside the campaign; the caller gets a classified
+	// error, not the panic.
+	if _, err := AnalyzeModule(c.Module, nil, DefaultConfig()); failure.ClassOf(err) != failure.Panic {
+		t.Errorf("AnalyzeModule with a nil ABI: %v, want a panic-classified error", err)
 	}
 }
 
@@ -177,5 +185,69 @@ func TestCustomAPIDetectorsPublic(t *testing.T) {
 	}
 	if f, _ := report.Class("BlockinfoDep"); !f.Vulnerable {
 		t.Error("builtin oracle missed")
+	}
+}
+
+// TestAnalyzeModuleSingleContractSemantics pins what one AnalyzeModule
+// call does, whatever drives it: an adaptive run stops at saturation
+// exactly where a bare fuzzer does (the campaign fuel ledger never regrants
+// a single contract its own unspent budget), the verdicts answer a
+// provably clean contract without fuzzing, and trace capture or a custom
+// detector still fuzzes it.
+func TestAnalyzeModuleSingleContractSemantics(t *testing.T) {
+	c, err := contractgen.Generate(contractgen.Spec{Class: contractgen.ClassFakeEOS, Vulnerable: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Iterations = 60
+	cfg.Adaptive = true
+	cfg.SaturationWindow = 8
+	report, err := AnalyzeModule(c.Module, c.ABI, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fuzz.New(c.Module, c.ABI, fuzz.Config{
+		Iterations:       cfg.Iterations,
+		SolverConflicts:  cfg.SolverConflicts,
+		Seed:             cfg.Seed,
+		Adaptive:         true,
+		SaturationWindow: cfg.SaturationWindow,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Iterations != 9 || res.Iterations != 9 {
+		t.Errorf("iterations: AnalyzeModule %d, fuzz.Run %d, want 9 for both", report.Iterations, res.Iterations)
+	}
+	if want := newReport(res); !reflect.DeepEqual(report, want) {
+		t.Errorf("adaptive AnalyzeModule %+v, fuzz.Run %+v", report, want)
+	}
+
+	trivial := contractgen.Trivial()
+	vcfg := DefaultConfig()
+	vcfg.Iterations = 30
+	vcfg.Verdicts = true
+	if report, err := AnalyzeModule(trivial.Module, trivial.ABI, vcfg); err != nil {
+		t.Fatal(err)
+	} else if report.Iterations != 0 || report.Vulnerable() {
+		t.Errorf("verdicts on a trivial contract: %d iterations, vulnerable=%v; want a clean skip", report.Iterations, report.Vulnerable())
+	}
+	traced := vcfg
+	traced.TraceFile = filepath.Join(t.TempDir(), "trivial.traces")
+	custom := vcfg
+	custom.CustomAPIDetectors = []APIDetector{{Name: "Time", APIs: []string{"current_time"}}}
+	for name, cfg := range map[string]Config{"trace file": traced, "custom detector": custom} {
+		report, err := AnalyzeModule(trivial.Module, trivial.ABI, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if report.Iterations != vcfg.Iterations {
+			t.Errorf("%s: %d iterations, want the full %d (the verdicts say nothing about it)", name, report.Iterations, vcfg.Iterations)
+		}
 	}
 }
