@@ -75,14 +75,13 @@ bench-baseline:
 fastvm:
 	$(GO) run ./cmd/wasai-bench -exp fastvm
 
-# Verdict-engine gate, the gate of the campaign's only pre-execution
-# triage: zero soundness violations in both directions against a dynamic
-# campaign, every dynamic finding carrying its static candidate flag and
-# every static negative proven negative by absint, ≥30% of the wild
-# (contract, class) verdict matrix decided statically, at least the 4
-# trivial contracts skipped at every worker count, and byte-identical
-# findings digests with verdicts off and on at 1/4/8 workers (exit status
-# is the assertion).
+# Gate of the abstract-interpretation verdict engine, the static analyzer
+# next to the fuzzer: zero soundness violations in both directions against
+# a dynamic campaign, every dynamic finding carrying its static candidate
+# flag and every static negative proven negative by absint, ≥30% of the
+# wild (contract, class) verdict matrix decided statically, and
+# byte-identical findings digests of the dynamic campaign at 1/4/8 workers
+# (exit status is the assertion).
 verdict:
 	$(GO) run ./cmd/wasai-bench -exp verdict
 

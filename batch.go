@@ -36,8 +36,8 @@ type BatchJob struct {
 	// SolverConflicts, DisableFeedback, CustomAPIDetectors, Adaptive and
 	// SaturationWindow (the job's own power schedule; the fuel ledger is
 	// BatchConfig.Adaptive's), and Seed, verbatim (zero derives
-	// base+index). The engine options (Memo, StoreDir, Verdicts) and
-	// TraceFile are batch-wide, taken from BatchConfig alone.
+	// base+index). The engine options (Memo, StoreDir) and TraceFile are
+	// batch-wide, taken from BatchConfig alone.
 	Config *Config
 }
 
@@ -54,9 +54,8 @@ type BatchConfig struct {
 	JobTimeout time.Duration
 	// QueueDepth bounds Campaign.Submit backpressure (0 = 2×Workers).
 	QueueDepth int
-	// Deprecated: use Verdicts. StaticTriage turns Verdicts on: the
-	// verdict engine proves negative every class a false static candidate
-	// flag rules out, so it skips every job the flags alone would skip.
+	// Deprecated: has no effect. No pre-execution triage exists: every
+	// contract of a batch is fuzzed.
 	StaticTriage bool
 	// Journal, when non-empty, checkpoints every completed contract to an
 	// append-only JSONL file at this path, so a killed batch can be
@@ -76,11 +75,10 @@ type BatchConfig struct {
 	// (the instrumented and compiled module and its replay outcomes). Memo
 	// chooses the scope of that module tier: off keeps a tier private to
 	// the batch and turns on nothing else; on and shared decode through
-	// the memo cache, which also reuses solver answers and verdict
-	// reports, and with shared outlives the batch (resumed or repeated
-	// batches start warm). Findings are unchanged at any worker count;
-	// only duplicated work is skipped. (The field itself lives on the
-	// embedded Config.)
+	// the memo cache, which also reuses solver answers, and with shared
+	// outlives the batch (resumed or repeated batches start warm).
+	// Findings are unchanged at any worker count; only duplicated work is
+	// skipped. (The field itself lives on the embedded Config.)
 }
 
 // DefaultBatchConfig returns the paper's per-contract configuration with
@@ -100,10 +98,6 @@ type BatchResult struct {
 	// Err is the job's failure: decode/setup errors, the per-job deadline
 	// (context.DeadlineExceeded), or a recovered panic.
 	Err error
-	// Skipped marks a contract answered by its verdicts (Config.Verdicts)
-	// without fuzzing (the Report carries the all-clean verdict a campaign
-	// would produce).
-	Skipped bool
 	// FailureClass names the failure taxonomy class of Err ("none" when
 	// the job succeeded; see internal/failure).
 	FailureClass string
@@ -122,9 +116,10 @@ type CampaignReport struct {
 	// Jobs holds one entry per submitted contract, in submission order.
 	Jobs []BatchResult
 	// Completed and Failed partition the jobs; Flagged counts completed
-	// jobs with at least one vulnerable class; Skipped counts the completed
-	// jobs answered by their verdicts without fuzzing.
-	Completed, Failed, Flagged, Skipped int
+	// jobs with at least one vulnerable class.
+	Completed, Failed, Flagged int
+	// Deprecated: always 0. Every contract of a batch is fuzzed.
+	Skipped int
 	// Degraded, Retried and Replayed count the resilience outcomes:
 	// results accepted from a degraded attempt, jobs needing more than one
 	// attempt, and results restored from a resume journal.
@@ -208,7 +203,6 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 		QueueDepth:       cfg.QueueDepth,
 		JobTimeout:       cfg.JobTimeout,
 		BaseSeed:         cfg.Seed,
-		Verdicts:         cfg.Verdicts || cfg.StaticTriage,
 		Journal:          cfg.Journal,
 		Resume:           cfg.Resume,
 		Retry:            campaign.RetryPolicy{MaxAttempts: cfg.MaxAttempts},
@@ -223,7 +217,7 @@ func NewCampaign(ctx context.Context, cfg BatchConfig) (*Campaign, error) {
 	if modules == nil {
 		// Without memoization the batch still decodes each distinct
 		// binary once, through a cache of its own that the engine never
-		// sees: its solver and verdict tiers stay unused.
+		// sees: its solver tier stays unused.
 		modules = memo.New()
 	}
 	c := &Campaign{
@@ -391,7 +385,6 @@ func (c *Campaign) Wait() *CampaignReport {
 		Completed:     rep.Completed,
 		Failed:        rep.Failed,
 		Flagged:       rep.Flagged,
-		Skipped:       rep.Skipped,
 		Degraded:      rep.Degraded,
 		Retried:       rep.Retried,
 		Replayed:      rep.Replayed,
@@ -421,7 +414,6 @@ func toBatchResult(jr campaign.JobResult) BatchResult {
 		Index:        jr.Job.ID,
 		Name:         jr.Job.Name,
 		Err:          jr.Err,
-		Skipped:      jr.Skipped,
 		FailureClass: jr.FailureClass.String(),
 		Attempts:     jr.Attempts,
 		DegradedMode: jr.DegradedMode,

@@ -29,23 +29,19 @@
 // identical and DPLL solver invocations drop ≥30%. -exp fastvm times a
 // compute-heavy module on the decoded-IR engine and the reference
 // tree-walker and exits non-zero unless both return the same result and
-// fuel and the decoded-IR engine retires ≥2x the instructions/s. -verdicts
-// threads abstract-interpretation verdict triage (internal/static/absint)
-// through the same experiments: all-proven-negative jobs skip execution and
-// proven-positive jobs schedule confirmed-first, findings-invariant either
-// way. -exp verdict runs the verdict gate — per-class soundness against a
-// dynamic campaign in both directions (zero violations), every dynamic
-// finding carrying its static candidate flag and every static negative
-// proven by absint, ≥30% of the wild (contract, class) verdict matrix
-// decided statically, at least the 4 trivial contracts skipped, and
-// byte-identical findings digests with verdicts off/on at worker counts
-// 1/4/8. -exp
-// onchain runs the on-chain-data oracle gate: every injected fixture (both
-// polarities of all classes plus boilerplate) through full campaigns, with
-// perfect per-class precision/recall against generator ground truth and
-// byte-identical findings digests at worker counts 1/4/8. -adaptive
-// threads the coverage-driven power schedule and campaign fuel ledger
-// (internal/schedule) through the fig3/table/rq4 experiments — every
+// fuel and the decoded-IR engine retires ≥2x the instructions/s. -exp
+// verdict runs the gate of the abstract-interpretation verdict engine
+// (internal/static/absint) — per-class soundness against a dynamic campaign
+// in both directions (zero violations), every dynamic finding carrying its
+// static candidate flag and every static negative proven by absint, ≥30% of
+// the wild (contract, class) verdict matrix decided statically, and
+// byte-identical findings digests of the dynamic campaign at worker counts
+// 1/4/8. -exp onchain runs the on-chain-data oracle gate: every injected
+// fixture (both polarities of all classes plus boilerplate) through full
+// campaigns, with perfect per-class precision/recall against generator
+// ground truth and byte-identical findings digests at worker counts 1/4/8.
+// -adaptive threads the coverage-driven power schedule and campaign fuel
+// ledger (internal/schedule) through the fig3/table/rq4 experiments — every
 // scheduling decision is a pure function of (seed, observed coverage), so
 // results stay byte-identical at any worker count, though NOT to a static
 // run of the same budget (the fuel moves). -exp adaptive runs the
@@ -126,7 +122,6 @@ func run() error {
 		baseline  = flag.String("baseline", "BENCH_BASELINE.json", "regress: committed baseline record to compare against")
 		outPath   = flag.String("out", "", "regress: where to write the fresh record (default BENCH_<date>.json)")
 		writeBase = flag.Bool("write-baseline", false, "regress: (re)write -baseline from this run instead of comparing")
-		verdicts  = flag.Bool("verdicts", false, "abstract-interpretation verdict triage; findings are identical either way")
 		adaptive  = flag.Bool("adaptive", false, "coverage-driven power schedule + campaign fuel ledger; deterministic at any worker count but NOT digest-neutral vs a static run")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
@@ -167,7 +162,7 @@ func run() error {
 
 	opts := bench.Options{Scale: *scale, Seed: *seed}
 	// The engine options of the fig3, table and rq4 campaigns.
-	engine := campaign.Config{Workers: *workers, Memo: memoMode, Verdicts: *verdicts, Adaptive: *adaptive}
+	engine := campaign.Config{Workers: *workers, Memo: memoMode, Adaptive: *adaptive}
 	evalCfg := bench.DefaultEvalConfig()
 	evalCfg.FuzzIterations = *iters
 	evalCfg.Seed = *seed

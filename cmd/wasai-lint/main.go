@@ -16,9 +16,9 @@
 //     reference must have a matching static candidate flag in
 //     internal/static AND a verdict implementation in
 //     internal/static/absint, so neither static analysis can silently lag
-//     behind a newly added oracle (an un-proven oracle would make verdict
-//     skips unsound, and an un-flagged one would make the published
-//     candidate flags claim the class impossible).
+//     behind a newly added oracle (an un-proven oracle would get no
+//     verdict, and an un-flagged one would make the published candidate
+//     flags claim the class impossible).
 //
 //   - backend parity: every host-API name constant (API*) declared in
 //     internal/chain must be referenced outside its declaring file — the

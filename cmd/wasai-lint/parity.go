@@ -16,9 +16,9 @@ import (
 // internal/static (which computes one candidate flag per oracle class) AND
 // by internal/static/absint (which proves one three-valued verdict per
 // class). A class detected dynamically but unknown to absint would get no
-// verdict, and a verdict skip could then suppress a real finding; one
-// unknown to internal/static would get no candidate flag, which
-// wasai.AnalyzeStatic reports as "statically impossible".
+// verdict from wasai.AnalyzeVerdicts; one unknown to internal/static would
+// get no candidate flag, which wasai.AnalyzeStatic reports as "statically
+// impossible".
 func checkOracleParity(root string) ([]string, error) {
 	scannerClasses, err := classRefs(filepath.Join(root, "internal/scanner"))
 	if err != nil {

@@ -25,32 +25,24 @@ import (
 // over the same contracts, in both directions: a proven-negative class
 // whose dynamic oracle fires, or a proven-positive class whose oracle
 // stays silent, is a soundness violation. The same leg holds the
-// candidate flags of internal/static to the two properties that make the
-// verdicts the only triage the campaign needs: every dynamic finding's
-// class carries its candidate flag, and every class without one is proven
-// negative by absint. The gate requires zero violations of each kind.
+// candidate flags of internal/static to the two properties that let the
+// verdicts stand in for them: every dynamic finding's class carries its
+// candidate flag, and every class without one is proven negative by
+// absint. The gate requires zero violations of each kind.
 //
 // Leg 2 (precision) measures how much of the wild population the engine
-// decides statically, counted per (contract, class) verdict: every
-// non-Unknown verdict either retires a class from the dynamic budget or
-// schedules the job confirmed-first. The gate requires ≥30% of the wild
-// verdict matrix decided; Unknown-heavy analyses would make verdict triage
-// pointless. (Whole-contract skips — every class proven negative — are
-// reported too, but can only occur on intrinsic-free boilerplate now that
-// the on-chain-data scenario classes are Unknown on any db-writing
-// contract.)
+// decides statically, counted per (contract, class) verdict. The gate
+// requires ≥30% of the wild verdict matrix decided. The leg also counts,
+// per corpus part, the contracts with every class proven negative; only
+// intrinsic-free boilerplate qualifies, because the on-chain-data scenario
+// classes stay Unknown on any db-writing contract.
 //
-// Leg 3 (campaign differential) fuzzes the combined corpus with verdicts
-// off and on at several worker counts and requires every run's
-// FindingsDigest byte-identical to one reference, and every verdicts-on
-// run to skip at least the boilerplate contracts, so the differential
-// always covers the skip path. State digests are deliberately not
-// compared across the off/on pair: a verdict skip does no work, so its
-// coverage counters are zero by design.
+// Leg 3 (campaign determinism) fuzzes the combined corpus at several
+// worker counts and requires every run's FindingsDigest byte-identical to
+// the first run's, which is leg 1's dynamic oracle.
 
 // VerdictTrivialContracts is how many contractgen.Trivial contracts the
-// corpus carries. Every class of a trivial contract is proven negative,
-// so each verdicts-on run must skip at least this many jobs.
+// corpus carries. Every class of a trivial contract is proven negative.
 const VerdictTrivialContracts = 4
 
 // VerdictConfig tunes the verdict-engine experiment.
@@ -61,7 +53,7 @@ type VerdictConfig struct {
 	WildContracts  int
 	FuzzIterations int
 	Seed           int64
-	// WorkerCounts are the pool sizes the off/on differential runs at.
+	// WorkerCounts are the pool sizes the campaign runs at.
 	WorkerCounts []int
 }
 
@@ -93,17 +85,22 @@ type VerdictClassStats struct {
 	CandidateViolations, StaticGaps int
 }
 
-// VerdictWorkerRun is the campaign leg's off/on comparison at one worker
-// count.
+// VerdictWorkerRun is the campaign leg's run at one worker count.
 type VerdictWorkerRun struct {
 	Workers int
-	// DigestMatch reports whether both runs' FindingsDigest equal the
+	// DigestMatch reports whether the run's FindingsDigest equals the
 	// experiment-wide reference.
 	DigestMatch bool
-	// Skipped is how many jobs the verdicts-on run answered statically.
-	Skipped int
-	// OffWall and OnWall time the two campaign runs (reporting-only).
-	OffWall, OnWall time.Duration
+	// Wall times the run (reporting-only).
+	Wall time.Duration
+}
+
+// VerdictPart counts one part of the corpus: its contracts, and those with
+// every class proven negative, the only contracts a pre-execution skip
+// could answer.
+type VerdictPart struct {
+	Name                   string
+	Contracts, AllNegative int
 }
 
 // VerdictResult aggregates the experiment.
@@ -115,8 +112,11 @@ type VerdictResult struct {
 	Total, Wild, WildResolved, WildDecided int
 	// PerClass holds the verdict and violation counts per oracle class.
 	PerClass map[contractgen.Class]*VerdictClassStats
-	// Runs holds the per-worker-count campaign differentials; DigestMatch
-	// is true when every run matched the reference findings digest.
+	// Parts holds the ground-truth, wild and trivial parts, in corpus
+	// order.
+	Parts []VerdictPart
+	// Runs holds the per-worker-count campaign runs; DigestMatch is true
+	// when every run matched the reference findings digest.
 	Runs        []VerdictWorkerRun
 	DigestMatch bool
 }
@@ -152,20 +152,8 @@ func (r *VerdictResult) StaticGaps() int {
 	return r.sum(func(s *VerdictClassStats) int { return s.StaticGaps })
 }
 
-// SkipsCovered reports whether every verdicts-on run skipped at least the
-// corpus's trivial contracts.
-func (r *VerdictResult) SkipsCovered() bool {
-	for _, run := range r.Runs {
-		if run.Skipped < VerdictTrivialContracts {
-			return false
-		}
-	}
-	return len(r.Runs) > 0
-}
-
 // Resolution is the decided fraction of the wild (contract, class) verdict
-// matrix: each non-Unknown verdict is work the dynamic campaign no longer
-// has to do.
+// matrix.
 func (r *VerdictResult) Resolution() float64 {
 	if r.Wild == 0 {
 		return 0
@@ -175,20 +163,18 @@ func (r *VerdictResult) Resolution() float64 {
 
 // Passed is the acceptance gate: zero soundness violations in both
 // directions, zero static-candidate violations and static gaps, ≥30% wild
-// resolution, every verdicts-on run skipping the trivial contracts, and
-// byte-identical findings digests at every worker count with verdicts off
-// and on.
+// resolution, and byte-identical findings digests at every worker count.
 func (r *VerdictResult) Passed() bool {
 	return r.DigestMatch && r.NegViolations() == 0 && r.PosViolations() == 0 &&
 		r.CandidateViolations() == 0 && r.StaticGaps() == 0 &&
-		r.Resolution() >= 0.30 && r.SkipsCovered()
+		r.Resolution() >= 0.30
 }
 
 // Failure summarizes the gate's counters for a failed run.
 func (r *VerdictResult) Failure() string {
-	return fmt.Sprintf("violations neg=%d pos=%d candidate=%d static-gaps=%d, resolution %.0f%% (need ≥30%%), skip path covered=%v, digests identical=%v",
+	return fmt.Sprintf("violations neg=%d pos=%d candidate=%d static-gaps=%d, resolution %.0f%% (need ≥30%%), digests identical=%v",
 		r.NegViolations(), r.PosViolations(), r.CandidateViolations(), r.StaticGaps(),
-		100*r.Resolution(), r.SkipsCovered(), r.DigestMatch)
+		100*r.Resolution(), r.DigestMatch)
 }
 
 // EvaluateVerdict runs all three legs over one combined corpus.
@@ -197,10 +183,11 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 
 	// Corpus: the full ground-truth sweep (every class, both polarities),
 	// the wild sample, then the trivial contracts.
+	const truthPart, wildPart, trivialPart = 0, 1, 2 // indices into Parts
 	type sample struct {
 		name     string
 		contract *contractgen.Contract
-		wild     bool
+		part     int
 	}
 	var samples []sample
 	for _, class := range contractgen.Classes {
@@ -209,7 +196,7 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: verdict ground truth %v/%v: %w", class, vul, err)
 			}
-			samples = append(samples, sample{name: fmt.Sprintf("gt-%s-%v", class, vul), contract: c})
+			samples = append(samples, sample{name: fmt.Sprintf("gt-%s-%v", class, vul), contract: c, part: truthPart})
 		}
 	}
 	wild, err := contractgen.GenerateWild(contractgen.DefaultWildOptions(cfg.WildContracts), rng)
@@ -217,15 +204,16 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 		return nil, fmt.Errorf("bench: verdict wild corpus: %w", err)
 	}
 	for _, w := range wild {
-		samples = append(samples, sample{name: "wild-" + w.Name.String(), contract: w.Contract, wild: true})
+		samples = append(samples, sample{name: "wild-" + w.Name.String(), contract: w.Contract, part: wildPart})
 	}
 	for i := 0; i < VerdictTrivialContracts; i++ {
-		samples = append(samples, sample{name: fmt.Sprintf("trivial-%d", i), contract: contractgen.Trivial()})
+		samples = append(samples, sample{name: fmt.Sprintf("trivial-%d", i), contract: contractgen.Trivial(), part: trivialPart})
 	}
 
 	res := &VerdictResult{
 		Total:       len(samples),
 		PerClass:    map[contractgen.Class]*VerdictClassStats{},
+		Parts:       []VerdictPart{{Name: "ground truth"}, {Name: "wild"}, {Name: "trivial"}},
 		DigestMatch: true,
 	}
 	for _, class := range contractgen.Classes {
@@ -233,8 +221,7 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 	}
 
 	// Static pass: one verdict report and one candidate report per
-	// contract (legs 1 and 2 read them; the campaign runs recompute their
-	// verdicts through the engine's cache).
+	// contract, which legs 1 and 2 read.
 	reports := make([]*absint.Report, len(samples))
 	candidates := make([]*static.Report, len(samples))
 	for i, s := range samples {
@@ -260,7 +247,12 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 				res.PerClass[class].StaticGaps++
 			}
 		}
-		if s.wild {
+		part := &res.Parts[s.part]
+		part.Contracts++
+		if reports[i].AllNegative() {
+			part.AllNegative++
+		}
+		if s.part == wildPart {
 			res.Wild++
 			if reports[i].AllNegative() || reports[i].AnyPositive() {
 				res.WildResolved++
@@ -296,18 +288,14 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 
 	var refFindings string
 	for i, workers := range workerCounts {
-		off, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{Workers: workers})
+		rep, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{Workers: workers})
 		if err != nil {
-			return nil, fmt.Errorf("bench: verdict off (workers=%d): %w", workers, err)
-		}
-		on, err := campaign.Run(context.Background(), makeJobs(), campaign.Config{Workers: workers, Verdicts: true})
-		if err != nil {
-			return nil, fmt.Errorf("bench: verdict on (workers=%d): %w", workers, err)
+			return nil, fmt.Errorf("bench: verdict campaign (workers=%d): %w", workers, err)
 		}
 		if i == 0 {
-			refFindings = off.FindingsDigest()
+			refFindings = rep.FindingsDigest()
 			// Soundness leg: the first dynamic run is the oracle reference.
-			for j, jr := range off.Results {
+			for j, jr := range rep.Results {
 				if jr.Err != nil {
 					return nil, fmt.Errorf("bench: verdict job %q: %w", jr.Job.Name, jr.Err)
 				}
@@ -329,17 +317,11 @@ func EvaluateVerdict(cfg VerdictConfig) (*VerdictResult, error) {
 				}
 			}
 		}
-		match := off.FindingsDigest() == refFindings && on.FindingsDigest() == refFindings
+		match := rep.FindingsDigest() == refFindings
 		if !match {
 			res.DigestMatch = false
 		}
-		res.Runs = append(res.Runs, VerdictWorkerRun{
-			Workers:     workers,
-			DigestMatch: match,
-			Skipped:     on.Skipped,
-			OffWall:     off.Wall,
-			OnWall:      on.Wall,
-		})
+		res.Runs = append(res.Runs, VerdictWorkerRun{Workers: workers, DigestMatch: match, Wall: rep.Wall})
 	}
 	return res, nil
 }
@@ -355,15 +337,19 @@ func RenderVerdict(r *VerdictResult) string {
 			class, s.ProvenNeg, s.ProvenPos, s.Unknown, s.NegViolations, s.PosViolations,
 			s.CandidateViolations, s.StaticGaps)
 	}
-	fmt.Fprintf(&sb, "precision leg: %d/%d wild (contract, class) verdicts decided (%.0f%%, need ≥30%%); %d/%d contracts fully resolved\n",
-		r.WildDecided, r.Wild*len(contractgen.Classes), 100*r.Resolution(), r.WildResolved, r.Wild)
+	parts := make([]string, len(r.Parts))
+	for i, p := range r.Parts {
+		parts[i] = fmt.Sprintf("%s %d/%d", p.Name, p.AllNegative, p.Contracts)
+	}
+	fmt.Fprintf(&sb, "precision leg: %d/%d wild (contract, class) verdicts decided (%.0f%%, need ≥30%%); %d/%d contracts fully resolved; all classes proven negative: %s\n",
+		r.WildDecided, r.Wild*len(contractgen.Classes), 100*r.Resolution(), r.WildResolved, r.Wild, strings.Join(parts, ", "))
 	fmt.Fprintf(&sb, "campaign leg:\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&sb, "  workers=%d: findings digests identical=%v, %d skipped (need ≥%d), wall off %.2fs, on %.2fs\n",
-			run.Workers, run.DigestMatch, run.Skipped, VerdictTrivialContracts, run.OffWall.Seconds(), run.OnWall.Seconds())
+		fmt.Fprintf(&sb, "  workers=%d: findings digest identical=%v, wall %.2fs\n",
+			run.Workers, run.DigestMatch, run.Wall.Seconds())
 	}
 	if r.Passed() {
-		fmt.Fprintf(&sb, "verdict: PASS — zero soundness violations, every static negative proven, %.0f%% wild resolution, skip path covered, byte-identical findings\n",
+		fmt.Fprintf(&sb, "verdict: PASS — zero soundness violations, every static negative proven, %.0f%% wild resolution, byte-identical findings\n",
 			100*r.Resolution())
 	} else {
 		fmt.Fprintf(&sb, "verdict: FAIL — %s\n", r.Failure())

@@ -14,10 +14,11 @@ import (
 // TestEvaluateVerdict smoke-runs the verdict gate at a small scale and
 // asserts its budget-independent properties: no proven-negative class
 // fires dynamically, every dynamic finding carries its static candidate
-// flag, every static negative is proven negative by absint, every
-// verdicts-on run skips at least the trivial contracts, and the findings
-// digests match. Positive proofs need the gate's full budget to surface,
-// so PosViolations and the wild resolution are left to `make verdict`.
+// flag, every static negative is proven negative by absint, every class
+// of the trivial contracts is proven negative, and the findings digests
+// match across worker counts. Positive proofs need the gate's full budget
+// to surface, so PosViolations and the wild resolution are left to `make
+// verdict`.
 func TestEvaluateVerdict(t *testing.T) {
 	cfg := DefaultVerdictConfig()
 	cfg.WildContracts = 4
@@ -31,7 +32,7 @@ func TestEvaluateVerdict(t *testing.T) {
 		t.Errorf("corpus has %d contracts, want %d", res.Total, want)
 	}
 	if !res.DigestMatch {
-		t.Error("verdicts changed the findings digest")
+		t.Error("the findings digest differs across worker counts")
 	}
 	if n := res.NegViolations(); n != 0 {
 		t.Errorf("%d proven-negative classes fired dynamically", n)
@@ -44,22 +45,22 @@ func TestEvaluateVerdict(t *testing.T) {
 			t.Errorf("%s: %d static negatives not proven negative by absint", class, s.StaticGaps)
 		}
 	}
-	if !res.SkipsCovered() {
-		for _, run := range res.Runs {
-			t.Errorf("workers=%d: skipped %d jobs, want at least the %d trivial contracts",
-				run.Workers, run.Skipped, VerdictTrivialContracts)
-		}
+	if p := res.Parts[len(res.Parts)-1]; p.Name != "trivial" || p.AllNegative != VerdictTrivialContracts {
+		t.Errorf("%s part: %d of %d contracts with every class proven negative, want all %d trivial contracts",
+			p.Name, p.AllNegative, p.Contracts, VerdictTrivialContracts)
 	}
-	if s := RenderVerdict(res); !strings.Contains(s, "static-gaps=0") {
-		t.Errorf("render lacks the static cross-check:\n%s", s)
+	s := RenderVerdict(res)
+	for _, want := range []string{"static-gaps=0", "trivial 4/4"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("render lacks %q:\n%s", want, s)
+		}
 	}
 }
 
-// TestStaticNegativesAreAbsintNegatives pins why the absint verdicts are
-// the campaign's only triage: on the wild population and the Table-4 and
+// TestStaticNegativesAreAbsintNegatives pins that the absint verdicts
+// subsume the candidate flags: on the wild population and the Table-4 and
 // verification datasets, every (contract, class) pair that static.Analyze
-// leaves without a candidate flag is proven negative by absint.Analyze, so
-// the verdicts skip at least every job the candidate flags would.
+// leaves without a candidate flag is proven negative by absint.Analyze.
 func TestStaticNegativesAreAbsintNegatives(t *testing.T) {
 	wild, err := contractgen.GenerateWild(contractgen.DefaultWildOptions(991), rand.New(rand.NewSource(1)))
 	if err != nil {

@@ -39,8 +39,8 @@ func keepJournalPrefix(t *testing.T, path string, keep int) {
 }
 
 // TestAdaptiveDigestWorkerInvariant: the adaptive campaign's digests are
-// identical at every worker count, both alone and composed with the full
-// optimization stack (shared memo and verdict triage) — every scheduling
+// identical at every worker count, both alone and composed with the shared
+// memo — every scheduling
 // decision is a pure function of (seed, observed coverage), so worker
 // interleaving and cache hits must be invisible.
 func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
@@ -55,7 +55,6 @@ func TestAdaptiveDigestWorkerInvariant(t *testing.T) {
 			Adaptive: true,
 			BaseSeed: 3,
 			Memo:     memo.ModeShared,
-			Verdicts: true,
 		}},
 	}
 	for _, layer := range layers {
@@ -164,7 +163,7 @@ func TestAdaptiveKillResumeDigestIdentity(t *testing.T) {
 // moves fuel: with an 8-iteration saturation window every job of the
 // population saturates and the ledger regrants the returned iterations.
 // The digests must be the same at every worker count, alone and composed
-// with the shared memo and the verdicts, through the streaming Engine, and
+// with the shared memo, through the streaming Engine, and
 // across a cancel after four completed jobs and a resume.
 func TestAdaptiveLedgerGolden(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 10, 40, 31) }
@@ -176,7 +175,7 @@ func TestAdaptiveLedgerGolden(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		bare := Config{Workers: workers, Adaptive: true, SaturationWindow: 8, BaseSeed: 3}
 		full := bare
-		full.Memo, full.Verdicts = memo.ModeShared, true
+		full.Memo = memo.ModeShared
 		rows = append(rows,
 			row{fmt.Sprintf("bare/workers=%d", workers), runJobs(mk, bare)},
 			row{fmt.Sprintf("full-stack/workers=%d", workers), runJobs(mk, full)},
@@ -212,7 +211,11 @@ func TestAdaptiveCancelBeforeBarrier(t *testing.T) {
 	if err := e.Submit(job); err != nil {
 		t.Fatal(err)
 	}
+	deadline := time.Now().Add(30 * time.Second)
 	for parked := 0; parked == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job did not park within 30s")
+		}
 		e.mu.Lock()
 		parked = len(e.parked)
 		e.mu.Unlock()

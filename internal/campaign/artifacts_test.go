@@ -52,7 +52,7 @@ func sharedGoldenRows(t *testing.T, workers int) []struct {
 	mk := func() []Job { return sharedModuleJobs(t) }
 	bare := Config{Workers: workers, BaseSeed: 11}
 	full := bare
-	full.Memo, full.Verdicts = memo.ModeOn, true
+	full.Memo = memo.ModeOn
 	adaptive := bare
 	adaptive.Adaptive, adaptive.SaturationWindow = true, 8
 	chaos := bare
@@ -71,7 +71,7 @@ func sharedGoldenRows(t *testing.T, workers int) []struct {
 }
 
 // TestSharedModuleGolden pins campaigns whose jobs share modules, bare,
-// with memo and verdicts, adaptive with fuel moving, under chaos with
+// with memo, adaptive with fuel moving, under chaos with
 // retries and across a kill and resume, at 1, 4 and 8 workers.
 func TestSharedModuleGolden(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {

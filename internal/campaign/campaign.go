@@ -75,17 +75,6 @@ type Config struct {
 	// fuzzes with BaseSeed + ID. Worker scheduling never influences the
 	// seed, which is what makes results worker-count invariant.
 	BaseSeed int64
-	// Verdicts runs the abstract-interpretation verdict engine
-	// (internal/static/absint) over each job's module and ABI before
-	// fuzzing. Jobs with all eight oracle classes (contractgen.Classes)
-	// proven negative are answered with a synthesized all-clean result
-	// (JobResult.Skipped), unless they carry custom detectors or keep
-	// traces; Run schedules jobs with a proven-positive class first. The
-	// engine never changes findings — skips rest on machine-checked
-	// negative proofs, reordering is invisible because seeds derive from
-	// job IDs, and FindingsDigest is byte-identical with verdicts on or
-	// off at any worker count.
-	Verdicts bool
 	// Retry re-attempts failed jobs with degraded budgets (see retry.go).
 	// The zero value disables retries.
 	Retry RetryPolicy
@@ -165,13 +154,8 @@ type JobResult struct {
 	// Err is the job's failure: a setup/run error, the per-job context
 	// error on timeout, or a *PanicError when the job panicked.
 	Err error
-	// Skipped marks a job answered by its verdicts (Config.Verdicts)
-	// without execution: Result is the synthesized all-clean verdict the
-	// fuzzer would have produced (and its coverage/iteration counters are
-	// zero).
-	Skipped bool
-	// Attempts counts the tries the job consumed (0 for skipped and
-	// replayed jobs, 1 when the first try decided it).
+	// Attempts counts the tries the job consumed (0 for replayed jobs, 1
+	// when the first try decided it).
 	Attempts int
 	// DegradedMode labels the degradation the accepted attempt ran under
 	// (retry.go's Degrade* constants); empty when the job ran as
@@ -213,7 +197,6 @@ type Engine struct {
 	results  chan JobResult
 	settled  sync.WaitGroup         // workers still taking submissions
 	wg       sync.WaitGroup         // workers still running
-	verdicts *verdictCache          // non-nil when cfg.Verdicts
 	done     map[int]*journalRecord // journaled outcomes to replay (resume)
 	jw       *journalWriter         // non-nil when cfg.Journal is set
 	memo     *memo.Cache            // non-nil when memoization is active
@@ -249,9 +232,6 @@ func Start(ctx context.Context, cfg Config) (*Engine, error) {
 	}
 	e.memo = cfg.memoCache()
 	e.memoBase = e.memo.Snapshot()
-	if cfg.Verdicts {
-		e.verdicts = newVerdictCache(e.memo)
-	}
 	workers := cfg.workers()
 	e.settled.Add(workers)
 	e.wg.Add(workers)
@@ -412,16 +392,16 @@ func (e *Engine) barrier() {
 }
 
 // run advances a job as far as it can go: a new job through journal
-// replay, the verdict skip and the retry loop (an adaptive job parks after
-// phase 1); a parked job through its grant and the finish. The whole loop
-// runs inline in the job's worker — retries never reschedule — so results
-// stay a pure function of the job, not of worker count or timing. A fresh
-// fuzzer takes its artifact from the worker's table arts.
+// replay and the retry loop (an adaptive job parks after phase 1); a
+// parked job through its grant and the finish. The whole loop runs inline
+// in the job's worker — retries never reschedule — so results stay a pure
+// function of the job, not of worker count or timing. A fresh fuzzer takes
+// its artifact from the worker's table arts.
 func (e *Engine) run(lj *liveJob, arts *artifactCache) {
 	start := time.Now() //wasai:nondet JobResult.Duration is reporting-only, never fed back
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic outside an attempt (verdicts, bookkeeping) is terminal:
+			// A panic outside an attempt (bookkeeping) is terminal:
 			// attempts carry their own recovery, so this one would repeat.
 			lj.parked = false
 			lj.jr.Result = nil
@@ -434,10 +414,6 @@ func (e *Engine) run(lj *liveJob, arts *artifactCache) {
 		lj.jr.Job = lj.job
 		if rec, ok := e.done[lj.job.ID]; ok {
 			lj.jr, lj.rec = rec.toResult(lj.job), rec
-			return
-		}
-		if e.verdicts != nil && verdictSkippable(lj.job, e.verdicts.report(lj.job)) {
-			lj.jr = skipResult(lj.job)
 			return
 		}
 	}
@@ -576,19 +552,9 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 			results[jr.Job.ID] = jr
 		}
 	}()
-	order := make([]Job, len(jobs))
-	for i := range jobs {
-		order[i] = jobs[i]
-		order[i].ID = i
-	}
-	if e.verdicts != nil {
-		// Proven-positive jobs first. IDs were assigned above from slice
-		// positions, so the reorder is invisible to seeds and to the
-		// results slice.
-		order = orderJobs(order, e.verdicts)
-	}
 	var submitErr error
-	for _, job := range order {
+	for i, job := range jobs {
+		job.ID = i
 		if submitErr = e.Submit(job); submitErr != nil {
 			break
 		}

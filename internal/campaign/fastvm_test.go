@@ -11,8 +11,8 @@ import (
 // fastvm_test.go holds the engine-level witness for the decoded-IR
 // execution engine, the chain's only engine: it may only ever change
 // execution throughput, never digests, and must compose with every other
-// engine layer — memoization, verdict triage, fault-injected retries, and
-// journal kill+resume. The tree-walker side of the former off/on
+// engine layer — memoization, fault-injected retries, and journal
+// kill+resume. The tree-walker side of the former off/on
 // differential is pinned as the golden digests of golden_test.go.
 
 // TestFastVMDigestInvariance is the engine's core contract at every worker
@@ -28,19 +28,16 @@ func TestFastVMDigestInvariance(t *testing.T) {
 }
 
 // TestFastVMComposesWithMemoTriageIncremental stacks the engine on top of
-// cross-job memoization and verdict triage: each layer promises digest
-// invariance, and this is the witness that the promises hold together, not
-// just one at a time. The golden population carries db writes and sends,
-// so no job skips and the state digest is pinned too. The incremental
-// solver it once also stacked is deleted; the fresh pool it deferred to is
-// the one the golden pins.
+// cross-job memoization: each layer promises digest invariance, and this
+// is the witness that the promises hold together, not just one at a time.
+// The incremental solver it once also stacked is deleted; the fresh pool
+// it deferred to is the one the golden pins.
 func TestFastVMComposesWithMemoTriageIncremental(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 16, 30, 13) }
 	requireGolden(t, runJobs(mk, Config{
 		Workers:  4,
 		BaseSeed: 7,
 		Memo:     memo.ModeOn,
-		Verdicts: true,
 	}), goldenFindings16, goldenState16)
 }
 

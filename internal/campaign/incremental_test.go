@@ -12,8 +12,8 @@ import (
 // incremental_test.go holds the solver-level witness for the fresh solver
 // pool, the only solver path since the incremental prefix-sharing pre-pass
 // was deleted: a solver-side layer may only ever change solver work, never
-// digests, and must compose with memoization, verdict triage,
-// fault-injected retries, and journal kill+resume. The pre-pass-off side
+// digests, and must compose with memoization, fault-injected retries, and
+// journal kill+resume. The pre-pass-off side
 // of the former off/on differential is pinned twice: as the golden digests
 // of golden_test.go and as the solver work below.
 
@@ -47,7 +47,7 @@ func TestIncrementalDigestInvariance(t *testing.T) {
 }
 
 // TestIncrementalComposesWithMemoAndTriage stacks the pool on top of
-// cross-job memoization and verdict triage. The pool answers memo hits
+// cross-job memoization. The pool answers memo hits
 // before it starts workers and still counts each as a query, so Queries
 // matches the reference; which of two workers racing on one key misses
 // first is scheduling-dependent, so the other counters are not pinned.
@@ -57,7 +57,6 @@ func TestIncrementalComposesWithMemoAndTriage(t *testing.T) {
 		Workers:  4,
 		BaseSeed: 7,
 		Memo:     memo.ModeOn,
-		Verdicts: true,
 	}), goldenFindings16, goldenState16)
 	if got, want := rep.SolverStats.Queries, goldenSolver16.Queries; got != want {
 		t.Errorf("SolverStats.Queries %d, want %d", got, want)

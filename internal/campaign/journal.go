@@ -44,13 +44,14 @@ type journalMeta struct {
 }
 
 // journalRecord is one journaled job outcome (the payload of one WAL
-// record; framing and checksumming live in internal/wal).
+// record; framing and checksumming live in internal/wal). Decoding ignores
+// unknown keys, so records that carry keys this version no longer writes,
+// such as "skipped", still resume.
 type journalRecord struct {
 	ID           int                   `json:"id"`
 	Name         string                `json:"name,omitempty"`
 	Err          string                `json:"err,omitempty"`
 	Failure      string                `json:"failure,omitempty"`
-	Skipped      bool                  `json:"skipped,omitempty"`
 	Attempts     int                   `json:"attempts,omitempty"`
 	DegradedMode string                `json:"degraded,omitempty"`
 	Flagged      []int                 `json:"flagged,omitempty"`
@@ -90,7 +91,6 @@ func recordOf(jr JobResult) journalRecord {
 	rec := journalRecord{
 		ID:           jr.Job.ID,
 		Name:         jr.Job.Name,
-		Skipped:      jr.Skipped,
 		Attempts:     jr.Attempts,
 		DegradedMode: jr.DegradedMode,
 	}
@@ -139,7 +139,6 @@ func (e *replayedError) Error() string { return e.msg }
 func (rec *journalRecord) toResult(job Job) JobResult {
 	jr := JobResult{
 		Job:          job,
-		Skipped:      rec.Skipped,
 		Attempts:     rec.Attempts,
 		DegradedMode: rec.DegradedMode,
 		Replayed:     true,

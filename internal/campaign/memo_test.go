@@ -50,10 +50,9 @@ func TestMemoDifferentialWorkers(t *testing.T) {
 	}
 }
 
-// TestMemoComposesWithTriageAndRetries runs the cache together with verdict
-// triage and the retry policy: the composed configuration must still match
-// the plain run's findings (triage legitimately changes StateDigest for
-// skipped jobs, so only FindingsDigest is compared).
+// TestMemoComposesWithTriageAndRetries runs the cache together with the
+// retry policy: the composed configuration must still match the plain
+// run's findings.
 func TestMemoComposesWithTriageAndRetries(t *testing.T) {
 	mk := func() []Job { return testJobs(t, 12, 25, 11) }
 	ref, err := Run(context.Background(), mk(), Config{Workers: 2, BaseSeed: 3})
@@ -64,14 +63,13 @@ func TestMemoComposesWithTriageAndRetries(t *testing.T) {
 		Workers:  4,
 		BaseSeed: 3,
 		Memo:     memo.ModeOn,
-		Verdicts: true,
 		Retry:    RetryPolicy{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatalf("composed run: %v", err)
 	}
 	if got, want := rep.FindingsDigest(), ref.FindingsDigest(); got != want {
-		t.Errorf("memo+triage+retry FindingsDigest diverged:\n got: %s\nwant: %s", got, want)
+		t.Errorf("memo+retry FindingsDigest diverged:\n got: %s\nwant: %s", got, want)
 	}
 }
 

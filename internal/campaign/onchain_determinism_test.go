@@ -15,9 +15,9 @@ import (
 // scenario oracles (StateTamper, OrderDep, CrossContract): their verdicts
 // ride the same digest-invariance promises as the five trace oracles. The
 // scenario driver replays fixed scripts on fresh held-block chains, so
-// nothing about worker scheduling, memoization, triage, the incremental
-// solver, the fast execution engine, or a journal kill+resume may move a
-// scenario verdict.
+// nothing about worker scheduling, memoization, the incremental solver,
+// the fast execution engine, or a journal kill+resume may move a scenario
+// verdict.
 
 // onchainSpecs is the deterministic spec list behind onchainJobs; job IDs
 // index into it, so runs can be scored against generator ground truth.
@@ -68,9 +68,6 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 		if jr.Err != nil {
 			t.Fatalf("job %q failed: %v", jr.Job.Name, jr.Err)
 		}
-		if jr.Skipped {
-			t.Fatalf("job %q skipped: scenario fixtures carry db writes and sends, no triage layer may prove them clean", jr.Job.Name)
-		}
 		spec := specs[jr.Job.ID]
 		if got := jr.Result.Report.Vulnerable[spec.Class]; got != spec.Vulnerable {
 			t.Errorf("%s: %s verdict = %v, ground truth %v", jr.Job.Name, spec.Class, got, spec.Vulnerable)
@@ -79,10 +76,9 @@ func checkOnchainVerdicts(t *testing.T, rep *Report) {
 }
 
 // TestOnChainOracleDeterminism runs the scenario-class population at 1, 4
-// and 8 workers, plain and with every engine layer stacked (memoization,
-// verdict triage), and
-// requires byte-identical findings digests throughout — plus identical
-// state digests across worker counts of the plain configuration.
+// and 8 workers, plain and with memoization, and requires byte-identical
+// findings digests throughout — plus identical state digests across worker
+// counts of the plain configuration.
 func TestOnChainOracleDeterminism(t *testing.T) {
 	mk := func() []Job { return onchainJobs(t, 30) }
 	ref, err := Run(context.Background(), mk(), Config{Workers: 1, BaseSeed: 7})
@@ -106,7 +102,6 @@ func TestOnChainOracleDeterminism(t *testing.T) {
 				Workers:  workers,
 				BaseSeed: 7,
 				Memo:     memo.ModeOn,
-				Verdicts: true,
 			})
 			if err != nil {
 				t.Fatalf("layered run: %v", err)
@@ -128,7 +123,6 @@ func TestOnChainOracleKillResume(t *testing.T) {
 		Workers:  4,
 		BaseSeed: 5,
 		Memo:     memo.ModeOn,
-		Verdicts: true,
 	}
 	ref, err := Run(context.Background(), mk(), cfg)
 	if err != nil {

@@ -18,12 +18,9 @@ type Report struct {
 	// Results holds one entry per job, in job-ID order when produced by
 	// Run (completion order is not observable here — determinism).
 	Results []JobResult
-	// Completed and Failed partition the jobs. Skipped counts the subset of
-	// Completed answered by their verdicts (Config.Verdicts) without
-	// execution.
+	// Completed and Failed partition the jobs.
 	Completed int
 	Failed    int
-	Skipped   int
 	// PerFailure counts failed jobs by failure class — the taxonomy makes
 	// "N failed" answerable: how many timed out, how many panicked, how
 	// many starved the solver.
@@ -83,9 +80,6 @@ func Aggregate(results []JobResult, wall time.Duration) *Report {
 			continue
 		}
 		r.Completed++
-		if jr.Skipped {
-			r.Skipped++
-		}
 		if jr.Degraded() {
 			r.Degraded++
 		}
@@ -119,10 +113,8 @@ func Aggregate(results []JobResult, wall time.Duration) *Report {
 // FindingsDigest renders the campaign's findings as a canonical sorted
 // string: one line per job (name, per-class verdicts, error if any), sorted
 // by job ID. Two campaigns over the same jobs found the same vulnerabilities
-// iff their digests are byte-identical — the verdict differential tests
-// compare exactly this (a verdict skip reports the all-clean verdict the
-// dynamic run would have, but does no work, so execution counters are
-// deliberately excluded; see StateDigest).
+// iff their digests are byte-identical. Execution counters are excluded;
+// see StateDigest.
 func (r *Report) FindingsDigest() string {
 	return r.digest(false)
 }
@@ -174,8 +166,8 @@ func (r *Report) digest(withState bool) string {
 // String summarizes the report (throughput line + per-class counts).
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "campaign: %d jobs (%d completed, %d skipped, %d failed) in %.1fs (%.1f jobs/s), %d flagged\n",
-		len(r.Results), r.Completed, r.Skipped, r.Failed, r.Wall.Seconds(), r.JobsPerSecond, r.Flagged)
+	fmt.Fprintf(&sb, "campaign: %d jobs (%d completed, %d failed) in %.1fs (%.1f jobs/s), %d flagged\n",
+		len(r.Results), r.Completed, r.Failed, r.Wall.Seconds(), r.JobsPerSecond, r.Flagged)
 	if r.Retried > 0 || r.Degraded > 0 || r.Replayed > 0 {
 		fmt.Fprintf(&sb, "  resilience: %d retried, %d degraded, %d replayed from journal\n",
 			r.Retried, r.Degraded, r.Replayed)

@@ -10,8 +10,8 @@ import (
 // immediately returns, one page of memory, no dispatch table, no host
 // imports, no actions. It models the boilerplate contracts that dominate a
 // wild population — every static candidate flag is provably false for it,
-// absint proves every class negative (so verdict triage skips it), and a
-// dynamic campaign over it reports all classes clean. Each call returns a fresh module.
+// absint proves every class negative, and a dynamic campaign over it
+// reports all classes clean. Each call returns a fresh module.
 func Trivial() *Contract {
 	mod := &wasm.Module{
 		Types:    []wasm.FuncType{{Params: []wasm.ValType{wasm.I64, wasm.I64, wasm.I64}}},

@@ -9,7 +9,9 @@
 // solving because it dominates end-to-end cost; this layer removes the
 // duplicated fraction of that cost outright.
 //
-// Four tiers, all keyed by 32-byte content hashes:
+// Four tiers, all keyed by 32-byte content hashes. The campaign engine and
+// the batch facade use the solver and module tiers; only the benchmark's
+// traced pass (perfbench/trace.go) calls the static and verdict tiers.
 //
 //   - solver: canonicalized query -> Sat/Unsat verdict (+ canonical model),
 //     consulted by symbolic.SolvePoolCtx before DPLL. Exact (Ordered-key)
@@ -20,8 +22,8 @@
 //   - static: module content hash -> *static.Report (nil-report sentinel
 //     for modules whose analysis failed, so failures are not re-analyzed).
 //   - verdict: module content hash + ABI action list -> *absint.Report,
-//     the abstract-interpretation three-valued verdicts campaign triage
-//     consults (a pure function of module bytes and action names).
+//     the abstract-interpretation three-valued verdicts (a pure function
+//     of module bytes and action names).
 //
 // Determinism contract: with any Mode, at any worker count, campaign
 // FindingsDigest and StateDigest are byte-identical to a memo-off run.
@@ -228,8 +230,9 @@ type Cache struct {
 	reports  sharded[*static.Report]         // bytecode hash -> report (nil = analyze failed)
 	verdicts sharded[*absint.Report]         // bytecode+actions hash -> verdict report
 
-	// moduleKeys remembers the content hash of modules this cache
-	// decoded, so the static tier can key reports without re-encoding.
+	// moduleKeys remembers the content hash of the modules in the module
+	// tier, so the static and verdict tiers can key reports without
+	// re-encoding. A module leaves the index when it leaves the tier.
 	//wasai:localcache side index into the cache's own tiers, not an independent cache
 	moduleKeys sync.Map // *wasm.Module -> [32]byte
 
@@ -438,8 +441,12 @@ func (c *Cache) Module(bin []byte, decode func([]byte) (*wasm.Module, error)) (*
 	if err != nil {
 		return nil, err
 	}
-	c.modules.put(key, m)
+	// Index m before it enters the tier, so the put that later evicts it
+	// finds an entry to delete.
 	c.moduleKeys.Store(m, key)
+	if old, ok := c.modules.put(key, m); ok {
+		c.moduleKeys.Delete(old)
+	}
 	return m, nil
 }
 
@@ -448,9 +455,8 @@ func (c *Cache) Module(bin []byte, decode func([]byte) (*wasm.Module, error)) (*
 // Static returns the static report for m, calling analyze on first
 // encounter of the module's content. A failed analysis is cached as a
 // nil report and replayed as (nil, nil) — callers already treat a nil
-// report as "no static information". The campaign engine does not call it
-// (its triage reads the verdict tier); the benchmark's traced pass in
-// perfbench/trace.go does.
+// report as "no static information". The campaign engine does not call it;
+// the benchmark's traced pass in perfbench/trace.go does.
 func (c *Cache) Static(m *wasm.Module, analyze func(*wasm.Module) (*static.Report, error)) (*static.Report, error) {
 	if c == nil {
 		rep, err := analyze(m)
@@ -488,7 +494,9 @@ func (c *Cache) Static(m *wasm.Module, analyze func(*wasm.Module) (*static.Repor
 // the given ABI action list, calling analyze on first encounter of the
 // (module content, actions) pair. absint.Analyze is a pure deterministic
 // function of exactly those inputs (the absint determinism test pins it),
-// so replaying a cached report is indistinguishable from re-analyzing.
+// so replaying a cached report is indistinguishable from re-analyzing. The
+// campaign engine does not call it; the benchmark's traced pass in
+// perfbench/trace.go does.
 func (c *Cache) Verdict(m *wasm.Module, actions []eos.Name, analyze func(*wasm.Module, []eos.Name) *absint.Report) *absint.Report {
 	if c == nil {
 		return analyze(m, actions)
@@ -516,6 +524,8 @@ func (c *Cache) Verdict(m *wasm.Module, actions []eos.Name, analyze func(*wasm.M
 	return rep
 }
 
+// moduleKey returns m's content hash: the indexed one for a module in the
+// module tier, else the hash of its encoding, which is not indexed.
 func (c *Cache) moduleKey(m *wasm.Module) ([32]byte, bool) {
 	if k, ok := c.moduleKeys.Load(m); ok {
 		return k.([32]byte), true
@@ -524,9 +534,7 @@ func (c *Cache) moduleKey(m *wasm.Module) ([32]byte, bool) {
 	if err != nil {
 		return [32]byte{}, false
 	}
-	key := sha256.Sum256(bin)
-	c.moduleKeys.Store(m, key)
-	return key, true
+	return sha256.Sum256(bin), true
 }
 
 // --- sharded store ----------------------------------------------------------
@@ -566,18 +574,22 @@ func (s *sharded[V]) get(key [32]byte) (V, bool) {
 	return v, ok
 }
 
-func (s *sharded[V]) put(key [32]byte, v V) {
+// put stores v under key and returns the value it displaced from the
+// tier, if any: the key's previous value, or the shard's oldest entry.
+func (s *sharded[V]) put(key [32]byte, v V) (old V, displaced bool) {
 	sh := &s.shards[key[0]&(numShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.m[key]; ok {
+	if prev, ok := sh.m[key]; ok {
 		// Refresh in place, keeping the FIFO position: concurrent misses
 		// on one key store equivalent values, so first-in wins is fine.
 		sh.m[key] = v
-		return
+		return prev, true
 	}
 	if len(sh.m) >= s.capacity {
-		delete(sh.m, sh.order[sh.head])
+		oldest := sh.order[sh.head]
+		old, displaced = sh.m[oldest], true
+		delete(sh.m, oldest)
 		sh.head++
 		s.evictions.Add(1)
 		// Compact the consumed prefix once it dominates the slice.
@@ -588,4 +600,5 @@ func (s *sharded[V]) put(key [32]byte, v V) {
 	}
 	sh.m[key] = v
 	sh.order = append(sh.order, key)
+	return old, displaced
 }

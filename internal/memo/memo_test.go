@@ -212,6 +212,47 @@ func TestModuleTier(t *testing.T) {
 	}
 }
 
+// TestModuleKeysStayWithinTier: the side index that keys the static and
+// verdict tiers holds exactly the modules of the module tier. Four
+// goroutines each decoding three tiers' worth of distinct binaries evict
+// two thirds of them and race on every key, and the displaced modules'
+// index entries go with them; keying modules the tier never decoded
+// indexes nothing. Run it under -race.
+func TestModuleKeysStayWithinTier(t *testing.T) {
+	c := New()
+	capacity := numShards * c.modules.capacity
+	decode := func([]byte) (*wasm.Module, error) { return &wasm.Module{}, nil }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*capacity; i++ {
+				if _, err := c.Module([]byte(fmt.Sprintf("binary-%d", i)), decode); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	analyze := func(*wasm.Module, []eos.Name) *absint.Report { return &absint.Report{} }
+	for i := 0; i < 100; i++ {
+		c.Verdict(&wasm.Module{}, nil, analyze)
+	}
+	indexed, outside := 0, 0
+	c.moduleKeys.Range(func(k, v any) bool {
+		indexed++
+		if m, ok := c.modules.get(v.([32]byte)); !ok || m != k.(*wasm.Module) {
+			outside++
+		}
+		return true
+	})
+	if indexed != capacity || outside != 0 {
+		t.Errorf("%d modules indexed, %d of them outside the tier; want the tier's %d", indexed, outside, capacity)
+	}
+}
+
 func TestStaticTier(t *testing.T) {
 	c := New()
 	bin := testModuleBytes(t)

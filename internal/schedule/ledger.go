@@ -11,7 +11,7 @@ type JobPhase struct {
 	// ID is the job's campaign ID (orders ties).
 	ID int
 	// Executed distinguishes jobs that actually fuzzed from replayed /
-	// verdict-skipped / failed jobs, which neither donate nor receive fuel.
+	// failed jobs, which neither donate nor receive fuel.
 	Executed bool
 	// Saturated marks a job that stopped at its saturation window.
 	Saturated bool

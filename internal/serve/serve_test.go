@@ -179,7 +179,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// A client still sending the retired engine toggles is admitted, and
 	// the keys change nothing.
-	body := `{"tenant":"t1","name":"e2e","contracts":4,"seed":11,"iterations":30,"memo":"shared","incremental":true,"fastvm":true,"static_triage":true}`
+	body := `{"tenant":"t1","name":"e2e","contracts":4,"seed":11,"iterations":30,"memo":"shared","incremental":true,"fastvm":true,"static_triage":true,"verdicts":true}`
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)

@@ -43,9 +43,8 @@ type JobSpec struct {
 	// FaultRate injects seeded faults into that fraction of first
 	// attempts (see internal/faultinject) — the chaos-testing surface.
 	FaultRate float64 `json:"fault_rate,omitempty"`
-	// Engine toggles; all digest-neutral.
-	Memo     string `json:"memo,omitempty"`
-	Verdicts bool   `json:"verdicts,omitempty"`
+	// Memo selects the cross-job cache scope; digest-neutral.
+	Memo string `json:"memo,omitempty"`
 	// Adaptive turns on the coverage-driven scheduling layer (power
 	// schedules + campaign fuel ledger). Not digest-neutral against a
 	// non-adaptive run — it changes which inputs are fuzzed — but still
@@ -115,7 +114,6 @@ func CampaignConfig(spec JobSpec, journal string, resume bool, cache *memo.Cache
 		Journal:    journal,
 		Resume:     resume,
 		Memo:       mode,
-		Verdicts:   spec.Verdicts,
 		Adaptive:   spec.Adaptive,
 	}
 	if cache != nil && mode != memo.ModeOff {

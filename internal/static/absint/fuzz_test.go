@@ -19,7 +19,7 @@ import (
 // claims dead edges on a module the harness can also fuzz, the claim is
 // checked against 64 random concrete runs of the reference interpreter —
 // a proven-dead branch outcome observed dynamically is a soundness bug,
-// exactly the property verdict triage skips rest on.
+// exactly the property every negative verdict rests on.
 func FuzzAbsInt(f *testing.F) {
 	for _, data := range absintCorpus(f) {
 		f.Add(data)

@@ -11,8 +11,8 @@
 // classes can be localized cheaply from Wasm bytecode alone; this package
 // computes the sound fraction of that signal (necessary conditions for each
 // dynamic oracle) and a heuristic priority score. The campaign engine does
-// not consume them: its only pre-execution triage is the verdict engine of
-// internal/static/absint, which proves every negative these flags prove
+// not consume them. The verdict engine of internal/static/absint proves
+// every negative these flags prove
 // (internal/bench's TestStaticNegativesAreAbsintNegatives and the
 // `wasai-bench -exp verdict` gate hold it to that). The flags are public
 // through wasai.AnalyzeStatic. Soundness contract: a candidate flag may be

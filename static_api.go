@@ -25,8 +25,8 @@ type StaticCandidate struct {
 // StaticReport is the pre-execution analysis of one contract: candidate
 // flags per vulnerability class, the host APIs reachable from its exported
 // entry points, and cost metrics. It is computed from bytecode alone — no
-// chain, no execution. Batch triage does not consult it: Verdicts proves
-// negative every class whose candidate flag is false, and more.
+// chain, no execution. AnalyzeVerdicts proves negative every class whose
+// candidate flag is false, and more.
 type StaticReport struct {
 	// Candidates holds one entry per vulnerability class, in the paper's
 	// table order.
@@ -93,8 +93,8 @@ type ClassVerdict struct {
 // VerdictReport is the abstract-interpretation analysis of one contract:
 // a three-valued verdict per vulnerability class plus the prover's
 // coverage facts. Like StaticReport it is computed from bytecode alone —
-// no chain, no execution — and is what batch triage (Config.Verdicts)
-// consults.
+// no chain, no execution. No campaign consults it: every contract is
+// fuzzed.
 type VerdictReport struct {
 	// Verdicts holds one entry per vulnerability class, in the paper's
 	// table order.

@@ -3,6 +3,7 @@ package wasai_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	wasai "repro"
@@ -56,9 +57,10 @@ func TestAnalyzeStatic(t *testing.T) {
 	}
 }
 
-// TestBatchStaticTriage checks the batch facade: with triage enabled the
-// trivial contracts are skipped, and every per-class verdict equals the
-// triage-disabled run's.
+// TestBatchStaticTriage: the deprecated StaticTriage and Verdicts fields
+// change nothing. With both set, every contract of the batch, the trivial
+// ones whose every class absint proves negative included, reports exactly
+// what it reports with neither, and none is skipped.
 func TestBatchStaticTriage(t *testing.T) {
 	var jobs []wasai.BatchJob
 	for i, class := range contractgen.Classes {
@@ -87,30 +89,24 @@ func TestBatchStaticTriage(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.StaticTriage = true
+	cfg.Verdicts = true
 	triaged, err := wasai.AnalyzeBatch(context.Background(), jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if triaged.Skipped != 3 {
-		t.Errorf("skipped %d jobs, want the 3 trivial contracts", triaged.Skipped)
-	}
-	if base.Skipped != 0 {
-		t.Errorf("baseline skipped %d jobs with triage disabled", base.Skipped)
+	if base.Skipped != 0 || triaged.Skipped != 0 {
+		t.Errorf("skipped %d jobs with the fields set, %d without; want 0", triaged.Skipped, base.Skipped)
 	}
 	for i := range base.Jobs {
 		b, tr := base.Jobs[i], triaged.Jobs[i]
-		if (b.Err == nil) != (tr.Err == nil) {
-			t.Errorf("job %d (%s): error mismatch: %v vs %v", i, b.Name, b.Err, tr.Err)
-			continue
+		if b.Err != nil || tr.Err != nil {
+			t.Fatalf("job %d (%s): %v / %v", i, b.Name, b.Err, tr.Err)
 		}
-		if b.Err != nil {
-			continue
+		if !reflect.DeepEqual(tr.Report, b.Report) {
+			t.Errorf("job %d (%s): report %+v with the fields set, %+v without", i, b.Name, tr.Report, b.Report)
 		}
-		for j, f := range b.Report.Findings {
-			if got := tr.Report.Findings[j]; got.Vulnerable != f.Vulnerable {
-				t.Errorf("job %d (%s) class %s: triage verdict %v, baseline %v",
-					i, b.Name, f.Class, got.Vulnerable, f.Vulnerable)
-			}
+		if b.Report.Iterations != cfg.Iterations {
+			t.Errorf("job %d (%s): %d iterations, want %d", i, b.Name, b.Report.Iterations, cfg.Iterations)
 		}
 	}
 }

@@ -63,9 +63,8 @@ type Config struct {
 	// flags the contract when any of its named host APIs is executed.
 	CustomAPIDetectors []APIDetector
 	// Memo selects cross-job memoization ("off"/""/default, "on",
-	// "shared"; see internal/memo): canonicalized solver-query verdicts,
-	// the verdict engine's reports and, in a batch, decoded modules are
-	// reused instead of recomputed. "on" scopes the cache to one campaign
+	// "shared"; see internal/memo): canonicalized solver-query verdicts
+	// and, in a batch, decoded modules are reused instead of recomputed. "on" scopes the cache to one campaign
 	// or batch, "shared" to the whole process. Memoization never changes
 	// findings; it only removes duplicated work.
 	Memo string
@@ -98,14 +97,8 @@ type Config struct {
 	// returns its unspent budget. 0 uses the engine default. Ignored unless
 	// Adaptive.
 	SaturationWindow int
-	// Verdicts runs the abstract-interpretation verdict engine
-	// (internal/static/absint) before fuzzing. A contract whose eight
-	// classes are all proven negative is answered immediately with the
-	// all-clean report the campaign would have produced (its execution
-	// counters are zero); everything else fuzzes as usual. Trace capture
-	// and custom detectors disable the shortcut — proofs say nothing
-	// about them. Findings are identical on/off; see AnalyzeVerdicts for
-	// the verdicts themselves.
+	// Deprecated: has no effect. Every contract is fuzzed; AnalyzeVerdicts
+	// returns the static verdicts.
 	Verdicts bool
 }
 
@@ -195,7 +188,6 @@ func AnalyzeModule(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Report,
 	// at saturation.
 	rep, err := campaign.Run(context.Background(), []campaign.Job{job}, campaign.Config{
 		Workers:   1,
-		Verdicts:  cfg.Verdicts,
 		MemoCache: cache,
 	})
 	if err != nil {
