@@ -278,9 +278,11 @@ func (c *Campaign) Submit(job BatchJob) error {
 
 // decode returns the job's contract: the decoded forms where set, else the
 // binary decoded and validated through the module tier of modules (nil
-// decodes afresh) and the parsed ABI JSON. Content-identical binaries
-// across a batch, or across a resumed rerun with a shared cache, then
-// share one immutable module, and with it one artifact per worker.
+// decodes afresh) and the ABI JSON parsed through its ABI tier.
+// Content-identical binaries across a batch, or across a resumed rerun
+// with a shared cache, then share one immutable module, and with it one
+// artifact per worker; content-identical ABIs share one value, and with
+// it the artifact's campaign chain and scenario outcome.
 func (job BatchJob) decode(modules *memo.Cache) (*wasm.Module, *abi.ABI, error) {
 	mod, contractABI := job.Module, job.ABI
 	if mod == nil {
@@ -300,9 +302,16 @@ func (job BatchJob) decode(modules *memo.Cache) (*wasm.Module, *abi.ABI, error) 
 		}
 	}
 	if contractABI == nil {
-		contractABI = new(abi.ABI)
-		if err := json.Unmarshal(job.ABIJSON, contractABI); err != nil {
-			return nil, nil, failure.Wrap(failure.Decode, fmt.Errorf("parse abi: %w", err))
+		var err error
+		contractABI, err = modules.ABI(job.ABIJSON, func(raw []byte) (*abi.ABI, error) {
+			a := new(abi.ABI)
+			if err := json.Unmarshal(raw, a); err != nil {
+				return nil, fmt.Errorf("parse abi: %w", err)
+			}
+			return a, nil
+		})
+		if err != nil {
+			return nil, nil, failure.Wrap(failure.Decode, err)
 		}
 	}
 	return mod, contractABI, nil

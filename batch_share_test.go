@@ -39,19 +39,22 @@ func wildBatch(t *testing.T, n int) []BatchJob {
 // TestAnalyzeBatchBuildsOneArtifactPerBytecode pins the work a one-worker
 // batch over 256 wild contracts does per bytecode. The population holds 46
 // distinct modules, and the batch decodes each once, so the worker builds
-// 46 artifacts; jobs on one artifact share their Symback replay outcomes.
-// Before artifacts, every job instrumented and compiled its module and
-// kept its replay outcomes to itself: 256 builds and 5,520 replays.
+// 46 artifacts; jobs on one artifact share their Symback replay outcomes,
+// their campaign chain and their scenario outcome, so at most 46 chains
+// are built and 46 scenario passes run. Before artifacts, every job
+// instrumented and compiled its module and kept its replay outcomes to
+// itself: 256 builds and 5,520 replays; before the shared setups, each
+// job built its chain and ran its pass: 256 of each.
 func TestAnalyzeBatchBuildsOneArtifactPerBytecode(t *testing.T) {
 	jobs := wildBatch(t, 256)
 	cfg := DefaultBatchConfig()
 	cfg.Workers = 1
-	builds0, replays0 := fuzz.Work()
+	builds0, replays0, scenarios0, chains0 := fuzz.Work()
 	rep, err := AnalyzeBatch(context.Background(), jobs, cfg)
 	if err != nil {
 		t.Fatalf("AnalyzeBatch: %v", err)
 	}
-	builds1, replays1 := fuzz.Work()
+	builds1, replays1, scenarios1, chains1 := fuzz.Work()
 	if rep.Failed != 0 {
 		t.Fatalf("%d contracts failed", rep.Failed)
 	}
@@ -60,6 +63,12 @@ func TestAnalyzeBatchBuildsOneArtifactPerBytecode(t *testing.T) {
 	}
 	if got := replays1 - replays0; got != wantWildReplays {
 		t.Errorf("%d replays run, want %d", got, wantWildReplays)
+	}
+	if got := scenarios1 - scenarios0; got > 46 {
+		t.Errorf("%d scenario passes run, want at most 46", got)
+	}
+	if got := chains1 - chains0; got > 46 {
+		t.Errorf("%d campaign chains built, want at most 46", got)
 	}
 }
 

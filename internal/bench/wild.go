@@ -2,10 +2,12 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
 
+	"repro/internal/abi"
 	"repro/internal/campaign"
 	"repro/internal/contractgen"
 	"repro/internal/failure"
@@ -85,18 +87,18 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 	}
 
 	// Sweep the population: one engine job per contract, and one module
-	// per distinct bytecode in both passes.
-	modules := moduleTable{}
+	// per distinct bytecode and one ABI per distinct ABI in both passes.
+	modules := contractTable{}
 	jobs := make([]campaign.Job, len(pop))
 	for i := range pop {
-		mod, err := modules.module(pop[i].Contract.Module)
+		mod, contractABI, err := modules.contract(pop[i].Contract)
 		if err != nil {
 			return nil, err
 		}
 		jobs[i] = campaign.Job{
 			Name:   pop[i].Name.String(),
 			Module: mod,
-			ABI:    pop[i].Contract.ABI,
+			ABI:    contractABI,
 			Config: fuzzCfg(i),
 		}
 	}
@@ -149,14 +151,14 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 			res.Patched++
 			// Queue the latest (patched) version for re-analysis.
 			if wc.PatchedContract != nil {
-				mod, err := modules.module(wc.PatchedContract.Module)
+				mod, contractABI, err := modules.contract(wc.PatchedContract)
 				if err != nil {
 					return nil, err
 				}
 				patchedJobs = append(patchedJobs, campaign.Job{
 					Name:   wc.Name.String() + "(patched)",
 					Module: mod,
-					ABI:    wc.PatchedContract.ABI,
+					ABI:    contractABI,
 					Config: fuzzCfg(i),
 				})
 			}
@@ -198,23 +200,41 @@ func EvaluateWild(cfg WildConfig) (*WildResult, error) {
 	return res, nil
 }
 
-// moduleTable maps an encoded bytecode to the first module seen with it.
-// The generator builds a fresh module for every contract, but the wild
-// population repeats bytecode; handing the jobs one module per bytecode
-// lets each campaign worker build one artifact for all of them, as
-// AnalyzeBatch does for content-identical binaries it decodes.
-type moduleTable map[string]*wasm.Module
+// contractTable maps an encoded bytecode to the first module seen with
+// it, and an encoded ABI to the first ABI. The generator builds a fresh
+// module and ABI for every contract, but the wild population repeats
+// both; handing the jobs one of each per encoding lets each campaign
+// worker build one artifact, one campaign chain and one scenario pass
+// for all of them, as AnalyzeBatch does for the content-identical bytes
+// it decodes.
+type contractTable struct {
+	modules map[string]*wasm.Module
+	abis    map[string]*abi.ABI
+}
 
-func (t moduleTable) module(m *wasm.Module) (*wasm.Module, error) {
-	bin, err := wasm.Encode(m)
+func (t *contractTable) contract(c *contractgen.Contract) (*wasm.Module, *abi.ABI, error) {
+	bin, err := wasm.Encode(c.Module)
 	if err != nil {
-		return nil, fmt.Errorf("bench: encode wild contract: %w", err)
+		return nil, nil, fmt.Errorf("bench: encode wild contract: %w", err)
 	}
-	if first, ok := t[string(bin)]; ok {
-		return first, nil
+	abiJSON, err := json.Marshal(c.ABI)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: encode wild abi: %w", err)
 	}
-	t[string(bin)] = m
-	return m, nil
+	if t.modules == nil {
+		t.modules, t.abis = map[string]*wasm.Module{}, map[string]*abi.ABI{}
+	}
+	mod, ok := t.modules[string(bin)]
+	if !ok {
+		mod = c.Module
+		t.modules[string(bin)] = mod
+	}
+	contractABI, ok := t.abis[string(abiJSON)]
+	if !ok {
+		contractABI = c.ABI
+		t.abis[string(abiJSON)] = contractABI
+	}
+	return mod, contractABI, nil
 }
 
 // failureClassOf resolves a failed job's class, falling back to chain

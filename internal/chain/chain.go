@@ -239,9 +239,10 @@ type Blockchain struct {
 	HoldBlocks bool
 
 	backend Backend
-	// imports is the resolver every Wasm deployment on this chain links
-	// against, built once from the backend (see newResolver).
-	imports exec.Resolver
+	// env is the "env" module every Wasm deployment on this chain links
+	// against, built once from the backend (see newEnv); each deployment
+	// links its own wasai.* module (see hookModule).
+	env exec.HostModule
 
 	// apply is the context of every apply on the chain, reset by each
 	// one. One suffices because applies never nest: notifications and
@@ -280,7 +281,7 @@ func NewWithBackend(b Backend) *Blockchain {
 		Fuel:           exec.DefaultFuel,
 		backend:        b,
 	}
-	bc.imports = bc.newResolver()
+	bc.env = bc.newEnv()
 	bc.apply = Context{chain: bc, iters: NewIterCache(bc.db)}
 	b.Bootstrap(bc)
 	return bc
@@ -333,10 +334,11 @@ func (bc *Blockchain) DeployWasm(name eos.Name, bin []byte, contractABI *abi.ABI
 // DeployModule installs an already-compiled module (used by the fuzzer,
 // which instruments and compiles a module once and deploys it on several
 // chains). The account gets its own instance, linked here, and the
-// decoded-IR VM that runs it.
+// decoded-IR VM that runs it. The instance's wasai.* hooks are bound to
+// sites, so a hook event costs a call and an append.
 func (bc *Blockchain) DeployModule(name eos.Name, cm *exec.CompiledModule, contractABI *abi.ABI, sites *instrument.SiteTable) error {
 	a := bc.CreateAccount(name)
-	inst, err := cm.Link(bc.imports)
+	inst, err := cm.Link(exec.Resolver{"env": bc.env, instrument.HookModule: bc.hookModule(name, sites)})
 	if err != nil {
 		return fmt.Errorf("chain: deploy %s: link: %w", name, err)
 	}
@@ -580,7 +582,7 @@ func (bc *Blockchain) applyOne(rcpt *Receipt, receiver, code eos.Name, act Actio
 	}
 
 	ctx := &bc.apply
-	ctx.reset(receiver, code, &act, acct.Sites)
+	ctx.reset(receiver, code, &act)
 	var err error
 	if acct.Native != nil {
 		err = acct.Native.ApplyNative(ctx, code, act.Name)

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/eos"
-	"repro/internal/instrument"
 )
 
 // Context is the apply context of one contract execution: the state the
@@ -27,10 +26,6 @@ type Context struct {
 	// Auth is the action's authorization list.
 	Auth []PermissionLevel
 
-	// sites is the receiver's instrumentation site table (nil when its
-	// binary is not instrumented), which the wasai.* hooks resolve
-	// events against.
-	sites    *instrument.SiteTable
 	iters    *IterCache
 	console  strings.Builder
 	notified []eos.Name
@@ -42,10 +37,9 @@ type Context struct {
 // reset prepares the context for one apply. The buffers and the iterator
 // cache keep their storage from earlier applies; their contents, and
 // every iterator handle, start over.
-func (ctx *Context) reset(receiver, code eos.Name, act *Action, sites *instrument.SiteTable) {
+func (ctx *Context) reset(receiver, code eos.Name, act *Action) {
 	ctx.Receiver, ctx.Code, ctx.Action = receiver, code, act.Name
 	ctx.Data, ctx.Auth = act.Data, act.Authorization
-	ctx.sites = sites
 	ctx.iters.reset()
 	ctx.notified = ctx.notified[:0]
 	ctx.inline = ctx.inline[:0]

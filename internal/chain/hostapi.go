@@ -86,13 +86,13 @@ func readCStr(vm *exec.VM, ptr uint32) string {
 	return string(mem[ptr:end])
 }
 
-// newResolver builds the import resolver for the chain's Wasm deployments.
-// The "env" intrinsic surface comes from the chain's backend; the wasai.*
-// instrumentation hooks and the fault injector stay at the chain layer —
-// they are pipeline machinery, not personality semantics, so every backend
-// gets them for free. Every closure reads the apply context from the VM
-// at call time, so one resolver serves every apply on the chain.
-func (bc *Blockchain) newResolver() exec.Resolver {
+// newEnv builds the "env" import module of the chain's Wasm deployments
+// from its backend. The wasai.* instrumentation hooks and the fault
+// injector stay at the chain layer: they are pipeline machinery, not
+// personality semantics, so every backend gets them for free. Every env
+// closure reads the apply context from the VM at call time, so one module
+// serves every apply on the chain.
+func (bc *Blockchain) newEnv() exec.HostModule {
 	env := bc.backend.HostEnv(bc)
 	// Interpose the fault injector ahead of every env intrinsic. It reads
 	// bc.Faults at call time, not at link time, because fuzz.New arms
@@ -108,74 +108,83 @@ func (bc *Blockchain) newResolver() exec.Resolver {
 			return fn(vm, args)
 		}
 	}
-	return exec.Resolver{
-		"env":                 env,
-		instrument.HookModule: bc.hookModule(),
+	return env
+}
+
+// hooks is what the wasai.* logging imports of one deployment are bound
+// to: the chain, whose collector receives the events, and the account's
+// instrumentation site table (nil when its binary is not instrumented,
+// which silences the hooks). Events reference original-module
+// coordinates through the table.
+type hooks struct {
+	bc    *Blockchain
+	name  eos.Name
+	sites *instrument.SiteTable
+}
+
+// event appends the event of the hooked instruction at site.
+func (h *hooks) event(kind trace.HookKind, site uint32, operand uint64) error {
+	c := h.bc.Collector
+	if c == nil || h.sites == nil {
+		return nil
+	}
+	if int(site) >= len(h.sites.Sites) {
+		return failure.Newf(failure.Trap, "chain: unknown hook site %d in %s", site, h.name)
+	}
+	s := &h.sites.Sites[site]
+	c.Emit(trace.Event{Kind: kind, Func: s.Func, PC: int(s.PC), Op: s.Op, Operand: operand})
+	return nil
+}
+
+// label appends a function-boundary or parameter event of function fn.
+func (h *hooks) label(kind trace.HookKind, fn uint32, operand uint64) {
+	if c := h.bc.Collector; c != nil && h.sites != nil {
+		c.Emit(trace.Event{Kind: kind, Func: fn, Operand: operand})
 	}
 }
 
 // hookModule implements the wasai.* logging imports the instrumenter
-// injects. Events reference original-module coordinates via the
-// receiver's site table, which applyOne puts on the apply context.
-func (bc *Blockchain) hookModule() exec.HostModule {
-	emit := func(vm *exec.VM, kind trace.HookKind, site uint32, operand uint64) error {
-		if bc.Collector == nil {
-			return nil
-		}
-		ctx := ctxOf(vm)
-		if ctx.sites == nil {
-			return nil
-		}
-		s, ok := ctx.sites.Lookup(site)
-		if !ok {
-			return failure.Newf(failure.Trap, "chain: unknown hook site %d in %s", site, ctx.Receiver)
-		}
-		bc.Collector.Emit(trace.Event{
-			Kind: kind, Func: s.Func, PC: int(s.PC), Op: s.Op, Operand: operand,
-		})
-		return nil
+// injects, bound to the deployment of sites on the account name.
+func (bc *Blockchain) hookModule(name eos.Name, sites *instrument.SiteTable) exec.HostModule {
+	h := &hooks{bc: bc, name: name, sites: sites}
+	param := func(_ *exec.VM, args []uint64) ([]uint64, error) {
+		h.label(trace.HookParam, uint32(args[0]), args[1])
+		return nil, nil
 	}
-	emitLabel := func(vm *exec.VM, kind trace.HookKind, fn uint32) {
-		if bc.Collector == nil || ctxOf(vm).sites == nil {
-			return
-		}
-		bc.Collector.Emit(trace.Event{Kind: kind, Func: fn})
+	ret := func(_ *exec.VM, args []uint64) ([]uint64, error) {
+		return nil, h.event(trace.HookCallPost, uint32(args[0]), args[1])
 	}
 	return exec.HostModule{
-		instrument.HookLogSite: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookInstr, uint32(args[0]), 0)
+		instrument.HookLogSite: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			return nil, h.event(trace.HookInstr, uint32(args[0]), 0)
 		},
-		instrument.HookLogCond: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookCond, uint32(args[0]), uint64(uint32(args[1])))
+		instrument.HookLogCond: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			return nil, h.event(trace.HookCond, uint32(args[0]), uint64(uint32(args[1])))
 		},
-		instrument.HookLogTable: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookBrTable, uint32(args[0]), uint64(uint32(args[1])))
+		instrument.HookLogTable: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			return nil, h.event(trace.HookBrTable, uint32(args[0]), uint64(uint32(args[1])))
 		},
-		instrument.HookLogMem: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookMem, uint32(args[0]), uint64(uint32(args[1])))
+		instrument.HookLogMem: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			return nil, h.event(trace.HookMem, uint32(args[0]), uint64(uint32(args[1])))
 		},
-		instrument.HookLogCmp: func(vm *exec.VM, args []uint64) ([]uint64, error) {
+		instrument.HookLogCmp: func(_ *exec.VM, args []uint64) ([]uint64, error) {
 			// Two operands: encode as two events (a then b) at the same site.
-			if err := emit(vm, trace.HookCmp, uint32(args[0]), args[1]); err != nil {
+			if err := h.event(trace.HookCmp, uint32(args[0]), args[1]); err != nil {
 				return nil, err
 			}
-			return nil, emit(vm, trace.HookCmp, uint32(args[0]), args[2])
+			return nil, h.event(trace.HookCmp, uint32(args[0]), args[2])
 		},
-		instrument.HookLogCall: func(vm *exec.VM, args []uint64) ([]uint64, error) {
+		instrument.HookLogCall: func(_ *exec.VM, args []uint64) ([]uint64, error) {
 			site, callee := uint32(args[0]), uint64(uint32(args[1]))
-			if err := emit(vm, trace.HookCallPre, site, callee); err != nil {
+			if err := h.event(trace.HookCallPre, site, callee); err != nil {
 				return nil, err
 			}
-			return nil, emit(vm, trace.HookCall, site, callee)
+			return nil, h.event(trace.HookCall, site, callee)
 		},
 		instrument.HookLogCallI: func(vm *exec.VM, args []uint64) ([]uint64, error) {
 			site, tblIdx := uint32(args[0]), uint32(args[1])
-			if err := emit(vm, trace.HookCallPre, site, uint64(tblIdx)); err != nil {
+			if err := h.event(trace.HookCallPre, site, uint64(tblIdx)); err != nil || sites == nil {
 				return nil, err
-			}
-			sites := ctxOf(vm).sites
-			if sites == nil {
-				return nil, nil
 			}
 			instrumented, ok := vm.Instance().TableGet(tblIdx)
 			if !ok {
@@ -185,55 +194,33 @@ func (bc *Blockchain) hookModule() exec.HostModule {
 			if !ok {
 				return nil, nil
 			}
-			return nil, emit(vm, trace.HookCall, site, uint64(orig))
+			return nil, h.event(trace.HookCall, site, uint64(orig))
 		},
-		instrument.HookLogRetV: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookCallPost, uint32(args[0]), 0)
+		instrument.HookLogRetV: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			return nil, h.event(trace.HookCallPost, uint32(args[0]), 0)
 		},
-		instrument.HookLogRetI: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookCallPost, uint32(args[0]), uint64(uint32(args[1])))
+		instrument.HookLogRetI: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			return nil, h.event(trace.HookCallPost, uint32(args[0]), uint64(uint32(args[1])))
 		},
-		instrument.HookLogRetL: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookCallPost, uint32(args[0]), args[1])
-		},
-		instrument.HookLogRetF: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookCallPost, uint32(args[0]), args[1])
-		},
-		instrument.HookLogRetD: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			return nil, emit(vm, trace.HookCallPost, uint32(args[0]), args[1])
-		},
-		instrument.HookLogBegin: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			emitLabel(vm, trace.HookFuncBegin, uint32(args[0]))
+		instrument.HookLogRetL: ret,
+		instrument.HookLogRetF: ret,
+		instrument.HookLogRetD: ret,
+		instrument.HookLogBegin: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			h.label(trace.HookFuncBegin, uint32(args[0]), 0)
 			return nil, nil
 		},
-		instrument.HookLogEnd: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			emitLabel(vm, trace.HookFuncEnd, uint32(args[0]))
+		instrument.HookLogEnd: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			h.label(trace.HookFuncEnd, uint32(args[0]), 0)
 			return nil, nil
 		},
-		instrument.HookLogParmI: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			emitParam(bc, vm, uint32(args[0]), uint64(uint32(args[1])))
+		instrument.HookLogParmI: func(_ *exec.VM, args []uint64) ([]uint64, error) {
+			h.label(trace.HookParam, uint32(args[0]), uint64(uint32(args[1])))
 			return nil, nil
 		},
-		instrument.HookLogParmL: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			emitParam(bc, vm, uint32(args[0]), args[1])
-			return nil, nil
-		},
-		instrument.HookLogParmF: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			emitParam(bc, vm, uint32(args[0]), args[1])
-			return nil, nil
-		},
-		instrument.HookLogParmD: func(vm *exec.VM, args []uint64) ([]uint64, error) {
-			emitParam(bc, vm, uint32(args[0]), args[1])
-			return nil, nil
-		},
+		instrument.HookLogParmL: param,
+		instrument.HookLogParmF: param,
+		instrument.HookLogParmD: param,
 	}
-}
-
-func emitParam(bc *Blockchain, vm *exec.VM, fn uint32, v uint64) {
-	if bc.Collector == nil || ctxOf(vm).sites == nil {
-		return
-	}
-	bc.Collector.Emit(trace.Event{Kind: trace.HookParam, Func: fn, Operand: v})
 }
 
 // PackAction serializes an action for send_inline / send_deferred. The

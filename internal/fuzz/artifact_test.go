@@ -1,16 +1,25 @@
 package fuzz
 
 import (
+	"context"
+	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/contractgen"
+	"repro/internal/eos"
+	"repro/internal/failure"
+	"repro/internal/faultinject"
 	"repro/internal/scanner"
 	"repro/internal/symexec"
 	"repro/internal/trace"
 	"repro/internal/wasm"
+	"repro/internal/wasm/exec"
 )
 
 // artifactJobs returns the configurations of four jobs on one module:
@@ -191,5 +200,174 @@ func TestFullArtifactCachesLaterJobs(t *testing.T) {
 	}
 	if want := uncached(t, later); !reflect.DeepEqual(got, want) {
 		t.Error("a full artifact changed the later job's result")
+	}
+}
+
+// chainState renders what a job can observe of a campaign chain before
+// its first transaction: the rows of the contracts the setup writes, the
+// block state, and the code of the setup's accounts.
+func chainState(bc *chain.Blockchain) string {
+	var sb strings.Builder
+	for _, name := range []eos.Name{eos.TokenContract, fakeTokenName, victimName, attackerName} {
+		a := bc.Account(name)
+		fmt.Fprintf(&sb, "%s code=%v,%p,%v,%T\n%s", name, a.HasCode(), a.Module, a.ABI != nil, a.Native, bc.DB().DumpContract(name))
+	}
+	fmt.Fprintf(&sb, "block %d %d %d faults %v\n", bc.BlockNum(), bc.TimeUs(), bc.TaposBlockPrefix(), bc.Faults != nil)
+	return sb.String()
+}
+
+// TestArtifactSetupMatchesFreshChain: consecutive jobs on one artifact
+// (plain, faulted, adaptive, keeping traces) borrow the artifact's campaign
+// chain in turn and take the scenario outcome the first job recorded, and
+// each returns what fuzz.New returns on a fresh chain. A job whose fault
+// fires errs as New's job does and keeps its chain; a job whose fault
+// never fires gives its chain back disarmed and as newChain built it.
+func TestArtifactSetupMatchesFreshChain(t *testing.T) {
+	c, err := contractgen.Generate(contractgen.RandomSpec(contractgen.ClassStateTamper, true, rand.New(rand.NewSource(5))))
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	a, err := NewArtifact(c.Module)
+	if err != nil {
+		t.Fatalf("NewArtifact: %v", err)
+	}
+	fault := func(kind faultinject.Kind) *faultinject.Injector {
+		return (&faultinject.Plan{Seed: 3, Rate: 1, Kinds: []faultinject.Kind{kind}}).For(0, 0)
+	}
+	jobs := []struct {
+		name   string
+		cfg    func() Config
+		chains int64 // campaign chains NewFrom builds
+	}{
+		{"plain", func() Config { return Config{Iterations: 60, SolverConflicts: 1_000, Seed: 1} }, 1},
+		{"faulted-error", func() Config {
+			return Config{Iterations: 60, SolverConflicts: 1_000, Seed: 2, Faults: fault(faultinject.KindHostError)}
+		}, 0},
+		{"faulted-panic", func() Config {
+			return Config{Iterations: 60, SolverConflicts: 1_000, Seed: 2, Faults: fault(faultinject.KindHostPanic)}
+		}, 1},
+		{"faulted-silent", func() Config {
+			return Config{Iterations: 60, DisableFeedback: true, Seed: 3, Faults: fault(faultinject.KindSolverStarve)}
+		}, 1},
+		{"adaptive", func() Config {
+			return Config{Iterations: 90, SolverConflicts: 1_000, Seed: 4, Adaptive: true, SaturationWindow: 16}
+		}, 0},
+		{"keep-traces", func() Config { return Config{Iterations: 60, SolverConflicts: 1_000, Seed: 5, KeepTraces: true} }, 0},
+		{"plain-again", func() Config { return Config{Iterations: 60, SolverConflicts: 1_000, Seed: 1} }, 0},
+	}
+	fresh, err := a.newChain(setupKey{abi: c.ABI, backend: chain.EOSIO(), fuel: exec.DefaultFuel})
+	if err != nil {
+		t.Fatalf("newChain: %v", err)
+	}
+	pristine := chainState(fresh)
+	scenarios := 0
+	for _, j := range jobs {
+		chains0, scenarios0 := work.chains.Load(), work.scenarios.Load()
+		f, err := NewFrom(a, c.ABI, j.cfg())
+		if err != nil {
+			t.Fatalf("%s: NewFrom: %v", j.name, err)
+		}
+		if got := work.chains.Load() - chains0; got != j.chains {
+			t.Errorf("%s: NewFrom built %d campaign chains, want %d", j.name, got, j.chains)
+		}
+		bc := f.bc
+		got, gotErr := f.Run()
+		scenarios += int(work.scenarios.Load() - scenarios0)
+		ref, err := New(c.Module, c.ABI, j.cfg())
+		if err != nil {
+			t.Fatalf("%s: New: %v", j.name, err)
+		}
+		want, wantErr := ref.Run()
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%s: error %q on the artifact's chain, %q on a fresh one", j.name, errText(gotErr), errText(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result on the artifact's chain differs from the result on a fresh one", j.name)
+		}
+		if faulted := strings.HasPrefix(j.name, "faulted-") && j.name != "faulted-silent"; faulted != (gotErr != nil) {
+			t.Fatalf("%s: error %v", j.name, gotErr)
+		}
+		if gotErr == nil {
+			if got.Iterations == 0 {
+				t.Fatalf("%s: no iteration ran", j.name)
+			}
+			if s := chainState(bc); s != pristine {
+				t.Errorf("%s: returned chain\n%s\nwant\n%s", j.name, s, pristine)
+			}
+		}
+	}
+	if scenarios != 1 {
+		t.Errorf("%d scenario passes ran on the artifact, want 1", scenarios)
+	}
+}
+
+// uncomparable is a backend whose value cannot be a map key: comparing
+// two of them panics.
+type uncomparable struct {
+	chain.Backend
+	tags []string
+}
+
+// TestArtifactSetupEdges: a job whose backend value cannot be compared
+// shares no setup and does not panic, and a job whose artifact holds the
+// scenario outcome still returns the timeout error when its context is
+// cancelled before the pass.
+func TestArtifactSetupEdges(t *testing.T) {
+	c, err := contractgen.Generate(contractgen.RandomSpec(contractgen.ClassOrderDep, true, rand.New(rand.NewSource(9))))
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	a, err := NewArtifact(c.Module)
+	if err != nil {
+		t.Fatalf("NewArtifact: %v", err)
+	}
+	cfg := Config{Iterations: 20, SolverConflicts: 1_000, Seed: 1, Backend: uncomparable{Backend: chain.EOSIO()}}
+	for i := 0; i < 2; i++ {
+		chains0, scenarios0 := work.chains.Load(), work.scenarios.Load()
+		f, err := NewFrom(a, c.ABI, cfg)
+		if err != nil {
+			t.Fatalf("NewFrom: %v", err)
+		}
+		got, err := f.Run()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if work.chains.Load()-chains0 != 1 || work.scenarios.Load()-scenarios0 != 1 {
+			t.Fatalf("job %d with an uncomparable backend shared its chain or scenario outcome", i)
+		}
+		ref, err := New(c.Module, c.ABI, cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if want, err := ref.Run(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %d differs from a fresh run (%v)", i, err)
+		}
+	}
+	if len(a.setups) != 0 {
+		t.Fatalf("artifact kept %d setups for an uncomparable backend", len(a.setups))
+	}
+
+	plain := Config{Iterations: 20, SolverConflicts: 1_000, Seed: 1}
+	f, err := NewFrom(a, c.ABI, plain)
+	if err != nil {
+		t.Fatalf("NewFrom: %v", err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if _, ok := a.scenarios(f.key); !ok {
+		t.Fatal("the first plain job recorded no scenario outcome")
+	}
+	g, err := NewFrom(a, c.ABI, plain)
+	if err != nil {
+		t.Fatalf("NewFrom: %v", err)
+	}
+	if _, err := g.RunPhase(context.Background()); err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := g.Finish(ctx); failure.ClassOf(err) != failure.Timeout {
+		t.Fatalf("Finish on a cancelled context: %v, want a timeout", err)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/symexec"
 	"repro/internal/trace"
 	"repro/internal/wasm"
+	"repro/internal/wasm/exec"
 )
 
 // Well-known campaign accounts.
@@ -150,11 +151,16 @@ func ExpandCoverage(points []CoveragePoint, iterations int) []int {
 
 // Fuzzer is the WASAI engine bound to one target contract.
 type Fuzzer struct {
-	cfg     Config
-	art     *Artifact // the target's instrumented and compiled forms
-	abi     *abi.ABI
-	bc      *chain.Blockchain
-	scan    *scanner.Scanner
+	cfg  Config
+	art  *Artifact // the target's instrumented and compiled forms
+	abi  *abi.ABI
+	bc   *chain.Blockchain
+	scan *scanner.Scanner
+	// session is the chain session the job runs in: Finish rolls it back
+	// and, when the setup key is shared, gives bc back to the artifact.
+	session *chain.Session
+	key     setupKey
+	shared  bool
 	rng     *rand.Rand
 	solver  *symbolic.Solver
 	dbg     *DBG
@@ -230,40 +236,31 @@ func New(mod *wasm.Module, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 }
 
 // NewFrom prepares a campaign against the artifact's contract with its
-// ABI: it initiates a local blockchain with the instrumented target and the
-// auxiliary contracts of Algorithm 1 line 2 (eosio.token, the counterfeit
-// token, the notification-forwarding agent), and funds the accounts. The
-// fuzzer reads the artifact and records its replay outcomes there; the
-// findings are those of New on the artifact's module.
+// ABI, on the local blockchain of Algorithm 1 line 2 with the instrumented
+// target and the auxiliary contracts (eosio.token, the counterfeit token,
+// the notification-forwarding agent) deployed and the accounts funded. It
+// borrows that chain from the artifact when an earlier job on the same
+// setup has given it back, and builds it otherwise; the job runs in a
+// chain session that Finish rolls back. The fuzzer reads the artifact and
+// records its replay outcomes there; the findings are those of New on the
+// artifact's module.
 func NewFrom(a *Artifact, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	backend := cfg.Backend
 	if backend == nil {
 		backend = chain.EOSIO()
 	}
-	bc := chain.NewWithBackend(backend)
-	bc.Collector = trace.NewCollector()
-	if cfg.Fuel > 0 {
-		bc.Fuel = cfg.Fuel
+	fuel := cfg.Fuel
+	if fuel <= 0 {
+		fuel = exec.DefaultFuel
 	}
-	if err := bc.DeployModule(victimName, a.compiled, contractABI, a.instr.Sites); err != nil {
-		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: deploy target: %w", err))
+	key, shared := keyOf(contractABI, backend, fuel)
+	bc, err := a.borrowChain(key, shared)
+	if err != nil {
+		return nil, err
 	}
-	// Arm fault injection only after deployment: the faults model runtime
-	// host failures, not broken setup.
+	session := bc.Begin()
+	// Faults model runtime host failures of this job, not broken setup.
 	bc.Faults = cfg.Faults
-	bc.DeployNative(fakeTokenName, &chain.TokenContract{Issuer: fakeTokenName, Sym: eos.EOSSymbol}, abi.TransferABI())
-	bc.DeployNative(agentName, &chain.ForwarderAgent{Victim: victimName}, nil)
-	bc.CreateAccount(attackerName)
-	if err := bc.Issue(eos.TokenContract, attackerName, eos.EOS(1_000_000_000_000)); err != nil {
-		return nil, fmt.Errorf("fuzz: fund attacker: %w", err)
-	}
-	// "We allocate some EOS tokens to the fuzzing target" (§4.4).
-	if err := bc.Issue(eos.TokenContract, victimName, eos.EOS(1_000_000_000_000)); err != nil {
-		return nil, fmt.Errorf("fuzz: fund target: %w", err)
-	}
-	if err := bc.Issue(fakeTokenName, attackerName, eos.EOS(1_000_000_000_000)); err != nil {
-		return nil, fmt.Errorf("fuzz: fund attacker with counterfeit EOS: %w", err)
-	}
 
 	f := &Fuzzer{
 		cfg:            cfg,
@@ -271,6 +268,9 @@ func NewFrom(a *Artifact, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 		abi:            contractABI,
 		bc:             bc,
 		scan:           scanner.New(a.mod, victimName),
+		session:        session,
+		key:            key,
+		shared:         shared,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		solver:         &symbolic.Solver{MaxConflicts: cfg.SolverConflicts},
 		dbg:            NewDBG(),
@@ -295,9 +295,6 @@ func NewFrom(a *Artifact, contractABI *abi.ABI, cfg Config) (*Fuzzer, error) {
 	}
 	return f, nil
 }
-
-// Chain exposes the campaign blockchain (examples inspect balances).
-func (f *Fuzzer) Chain() *chain.Blockchain { return f.bc }
 
 // payloadKind enumerates the transaction shapes Engine schedules: the
 // adversary-oracle payloads of §2.3 plus direct action fuzzing.
@@ -454,10 +451,10 @@ func (f *Fuzzer) Finish(ctx context.Context) (*Result, error) {
 	}
 	f.finished = true
 	// A Fuzzer can outlive its job: the adaptive campaign holds every job's
-	// fuzzer until the whole batch ends. So it lets go of its replayer and
-	// of its artifact, with the replay outcomes, once the scenario pass
-	// has deployed the artifact's module.
-	defer func() { f.replayer, f.art = nil, nil }()
+	// fuzzer until the whole batch ends. So it lets go of its replayer, its
+	// chain and its artifact, with the replay outcomes, once the scenario
+	// pass is done.
+	defer func() { f.replayer, f.art, f.bc = nil, nil, nil }()
 	// Close the change-point series with a final sample so the series
 	// records how long the campaign ran.
 	if n := len(f.covSeries); f.iter > 0 && (n == 0 || f.covSeries[n-1].Iteration != f.iter) {
@@ -465,6 +462,13 @@ func (f *Fuzzer) Finish(ctx context.Context) (*Result, error) {
 	}
 	if err := f.runScenarios(ctx); err != nil {
 		return nil, err
+	}
+	// The job is done with the campaign chain: it goes back to the
+	// artifact as newChain built it, for the next job on the setup.
+	f.session.Rollback()
+	f.bc.Faults = nil
+	if f.shared {
+		f.art.returnChain(f.key, f.bc)
 	}
 	var sched schedule.Counters
 	if f.planner != nil {

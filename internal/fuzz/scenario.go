@@ -14,6 +14,7 @@ package fuzz
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/chain"
@@ -41,26 +42,51 @@ var scnOrders = [2][2]eos.Name{{scnOwnerName, scnRivalName}, {scnRivalName, scnO
 
 // runScenarios executes the three scenario families for every
 // non-transfer ABI action. Transfer stays out: notification handling of
-// token transfers is the Fake EOS / Fake Notif oracle domain. Every
-// script runs on one scenario chain, built on the first scenario so a
-// transfer-only contract builds none, in a session that is rolled back
-// once the script's observer returns: each script starts from the state
-// a fresh scenario chain would have. The chain is local to the pass, so
-// it dies with it even though the adaptive campaign keeps the Fuzzer.
+// token transfers is the Fake EOS / Fake Notif oracle domain, and a
+// transfer-only contract runs no pass. The pass is a pure function of the
+// artifact and the job's setup key, so a job whose artifact holds the
+// outcome of an earlier job's pass under the same key observes that
+// outcome instead.
 func (f *Fuzzer) runScenarios(ctx context.Context) error {
-	var bc *chain.Blockchain
+	if !slices.ContainsFunc(f.actions, func(act eos.Name) bool { return act != eos.ActionTransfer }) {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return failure.Wrap(failure.Timeout, err)
+	}
+	if f.shared {
+		if o, ok := f.art.scenarios(f.key); ok {
+			f.scan.ObserveScenarios(o)
+			return nil
+		}
+	}
+	if err := f.playScenarios(ctx); err != nil {
+		return err
+	}
+	if f.shared {
+		// Nothing but the pass sets the scanner's scenario evidence.
+		f.art.recordScenarios(f.key, f.scan.Scenarios())
+	}
+	return nil
+}
+
+// playScenarios runs the scenario pass. Every script runs on one scenario
+// chain, in a session that is rolled back once the script's observer
+// returns: each script starts from the state a fresh scenario chain would
+// have. The chain is local to the pass, so it dies with it even though
+// the adaptive campaign keeps the Fuzzer.
+func (f *Fuzzer) playScenarios(ctx context.Context) error {
+	work.scenarios.Add(1)
+	bc, err := f.scenarioChain()
+	if err != nil {
+		return err
+	}
 	for _, act := range f.actions {
 		if act == eos.ActionTransfer {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return failure.Wrap(failure.Timeout, err)
-		}
-		if bc == nil {
-			var err error
-			if bc, err = f.scenarioChain(); err != nil {
-				return err
-			}
 		}
 		// State tampering: the attacker-signed replay of the owner's
 		// payload (see tamperScript).
@@ -98,9 +124,9 @@ func (f *Fuzzer) runScenarios(ctx context.Context) error {
 // this, ordinary block advancement would masquerade as ordering
 // dependence.
 func (f *Fuzzer) scenarioChain() (*chain.Blockchain, error) {
-	bc := chain.NewWithBackend(f.bc.Backend())
+	bc := chain.NewWithBackend(f.key.backend)
 	bc.Collector = trace.NewCollector()
-	bc.Fuel = f.bc.Fuel
+	bc.Fuel = f.key.fuel
 	if err := bc.DeployModule(victimName, f.art.compiled, f.abi, f.art.instr.Sites); err != nil {
 		return nil, failure.Wrap(failure.Decode, fmt.Errorf("fuzz: scenario deploy: %w", err))
 	}

@@ -9,9 +9,10 @@
 // solving because it dominates end-to-end cost; this layer removes the
 // duplicated fraction of that cost outright.
 //
-// Four tiers, all keyed by 32-byte content hashes. The campaign engine and
-// the batch facade use the solver and module tiers; only the benchmark's
-// traced pass (perfbench/trace.go) calls the static and verdict tiers.
+// Five tiers, all keyed by 32-byte content hashes. The campaign engine and
+// the batch facade use the solver, module and ABI tiers; only the
+// benchmark's traced pass (perfbench/trace.go) calls the static and
+// verdict tiers.
 //
 //   - solver: canonicalized query -> Sat/Unsat verdict (+ canonical model),
 //     consulted by symbolic.SolvePoolCtx before DPLL. Exact (Ordered-key)
@@ -19,6 +20,7 @@
 //     Unsat only. See internal/symbolic/canon.go for why this preserves
 //     byte-identical campaign digests.
 //   - module: bytecode hash -> decoded+validated *wasm.Module.
+//   - ABI: ABI JSON hash -> parsed *abi.ABI (no counters of its own).
 //   - static: module content hash -> *static.Report (nil-report sentinel
 //     for modules whose analysis failed, so failures are not re-analyzed).
 //   - verdict: module content hash + ABI action list -> *absint.Report,
@@ -49,6 +51,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/abi"
 	"repro/internal/eos"
 	"repro/internal/static"
 	"repro/internal/static/absint"
@@ -227,6 +230,7 @@ type Cache struct {
 	solver   sharded[symbolic.SolverVerdict] // Ordered key -> verdict
 	unsat    sharded[struct{}]               // Sorted key -> (Unsat)
 	modules  sharded[*wasm.Module]           // bytecode hash -> module
+	abis     sharded[*abi.ABI]               // ABI JSON hash -> ABI
 	reports  sharded[*static.Report]         // bytecode hash -> report (nil = analyze failed)
 	verdicts sharded[*absint.Report]         // bytecode+actions hash -> verdict report
 
@@ -259,6 +263,7 @@ func New() *Cache {
 	c.solver.init(DefaultShardCap)
 	c.unsat.init(DefaultShardCap)
 	c.modules.init(DefaultShardCap / 16) // modules are big; keep fewer
+	c.abis.init(DefaultShardCap / 16)
 	c.reports.init(DefaultShardCap / 16)
 	c.verdicts.init(DefaultShardCap / 16)
 	return c
@@ -448,6 +453,29 @@ func (c *Cache) Module(bin []byte, decode func([]byte) (*wasm.Module, error)) (*
 		c.moduleKeys.Delete(old)
 	}
 	return m, nil
+}
+
+// --- ABI tier ---------------------------------------------------------------
+
+// ABI returns the parsed ABI for raw, calling parse on first encounter of
+// these bytes, so the jobs of a batch that carry content-identical ABI
+// JSON share one value, and with it the campaign chain and scenario
+// outcome their artifact keeps per ABI. Only successful parses are
+// cached; parse must be pure, and no caller writes to a parsed ABI.
+func (c *Cache) ABI(raw []byte, parse func([]byte) (*abi.ABI, error)) (*abi.ABI, error) {
+	if c == nil {
+		return parse(raw)
+	}
+	key := sha256.Sum256(raw)
+	if a, ok := c.abis.get(key); ok {
+		return a, nil
+	}
+	a, err := parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	c.abis.put(key, a)
+	return a, nil
 }
 
 // --- static tier ------------------------------------------------------------

@@ -273,6 +273,24 @@ func (s *Scanner) ObserveNotifyContext(traces []trace.Trace) {
 	}
 }
 
+// ScenarioOutcome is the evidence of one scenario pass: which of its three
+// classes fired. The pass is a pure function of the contract and its
+// chain setup, so a job may take the outcome of an earlier job's pass.
+type ScenarioOutcome struct{ StateTamper, OrderDep, CrossContract bool }
+
+// Scenarios returns the scenario evidence observed so far.
+func (s *Scanner) Scenarios() ScenarioOutcome {
+	return ScenarioOutcome{StateTamper: s.stateTamperHit, OrderDep: s.orderDepHit, CrossContract: s.crossContractHit}
+}
+
+// ObserveScenarios adds the evidence of a scenario pass over the same
+// contract that another scanner observed.
+func (s *Scanner) ObserveScenarios(o ScenarioOutcome) {
+	s.stateTamperHit = s.stateTamperHit || o.StateTamper
+	s.orderDepHit = s.orderDepHit || o.OrderDep
+	s.crossContractHit = s.crossContractHit || o.CrossContract
+}
+
 // Report produces the final per-class verdict. The Fake Notif verdict is
 // the timeout-closed form of §3.5: if the guard was never observed by the
 // end of fuzzing, the contract is flagged.

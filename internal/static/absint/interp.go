@@ -717,11 +717,28 @@ func (r *run) exec(fv exec.IRFuncView, fi uint32, pc int, locals, stk []Value, s
 			return []result{{st: st, vals: vals}}
 
 		case exec.IRCall:
-			out, ok := r.doCall(fv, fi, pc, int64(in.A), nil, locals, stk, st, depth)
+			out, ok := r.call(fv, fi, pc, int64(in.A), locals, stk, st, depth)
 			if !ok {
 				return r.abort(st)
 			}
 			return out
+
+		case exec.IRHostC, exec.IRHostCL, exec.IRHostCC, exec.IRHostCLL, exec.IRHostTee,
+			exec.IRHostTeeBrIf, exec.IRHostTeeBrIfZ, exec.IRHostTeeBrTable, exec.IRHostTeeLoad,
+			exec.IRHostTeeStore, exec.IRHostCmp, exec.IRHostCCCall:
+			// A host-call group: its constituents up to the call, then
+			// the call. A hooked group's plain instruction in the next
+			// slot runs as itself. Steps count each constituent, as they
+			// did before the lowering fused them.
+			args, ok := groupArgs(in, locals, &stk)
+			if !ok {
+				return r.abort(st)
+			}
+			r.steps += int(in.Cost) - 1
+			if in.Op >= exec.IRHostTeeBrIf {
+				r.steps--
+			}
+			return r.doCall(fv, fi, pc, int64(in.A), args, locals, stk, st, depth)
 
 		case exec.IRCallInd:
 			idxv, ok := pop()
@@ -743,7 +760,7 @@ func (r *run) exec(fv exec.IRFuncView, fi uint32, pc int, locals, stk []Value, s
 			if st.firstInd < 0 {
 				st.firstInd = callee
 			}
-			out, ok := r.doCall(fv, fi, pc, callee, stk, locals, stk, st, depth)
+			out, ok := r.call(fv, fi, pc, callee, locals, stk, st, depth)
 			if !ok {
 				return r.abort(st)
 			}
@@ -909,10 +926,8 @@ func (r *run) withTrapFork(fv exec.IRFuncView, fi uint32, pc int, locals, stk []
 	return out
 }
 
-// doCall dispatches a direct or indirect call: host imports through the
-// host model, local functions recursively. stkOverride is unused (the
-// caller has already popped what it needed); args are popped here.
-func (r *run) doCall(fv exec.IRFuncView, fi uint32, pc int, callee int64, _ []Value, locals, stk []Value, st *state, depth int) ([]result, bool) {
+// call pops the arguments of a direct or indirect call and dispatches it.
+func (r *run) call(fv exec.IRFuncView, fi uint32, pc int, callee int64, locals, stk []Value, st *state, depth int) ([]result, bool) {
 	if callee < 0 || int(callee) >= r.e.nFunc {
 		return nil, false
 	}
@@ -921,8 +936,60 @@ func (r *run) doCall(fv exec.IRFuncView, fi uint32, pc int, callee int64, _ []Va
 		return nil, false
 	}
 	args := append([]Value(nil), stk[len(stk)-n:]...)
-	stk = stk[:len(stk)-n]
+	return r.doCall(fv, fi, pc, callee, args, locals, stk[:len(stk)-n], st, depth), true
+}
 
+// groupArgs applies a host-call group to the frame up to its call and
+// returns the call's arguments. The tee forms store the operand they take
+// off the stack and leave it there; the store and comparison hooks store
+// their operands and push them back, as the source reads them again after
+// the call, which sees neither locals nor the operand stack.
+func groupArgs(in exec.IRInstr, locals []Value, stk *[]Value) ([]Value, bool) {
+	lo, hi := int(in.B&0xffff), int(in.B>>16)
+	s := *stk
+	switch in.Op {
+	case exec.IRHostC:
+		return []Value{exact(in.Imm)}, true
+	case exec.IRHostCL:
+		if int(in.B) >= len(locals) {
+			return nil, false
+		}
+		return []Value{exact(in.Imm), locals[in.B]}, true
+	case exec.IRHostCC, exec.IRHostCCCall:
+		return []Value{exact(in.Imm & 0xffffffff), exact(in.Imm >> 32)}, true
+	case exec.IRHostCLL, exec.IRHostCmp:
+		if lo >= len(locals) || hi >= len(locals) {
+			return nil, false
+		}
+		if in.Op == exec.IRHostCmp {
+			if len(s) < 2 {
+				return nil, false
+			}
+			locals[hi], locals[lo] = s[len(s)-1], s[len(s)-2]
+			*stk = append(s[:len(s)-2], locals[lo], locals[hi])
+		}
+		return []Value{exact(in.Imm), locals[lo], locals[hi]}, true
+	case exec.IRHostTeeStore:
+		if len(s) < 2 || lo >= len(locals) || hi >= len(locals) {
+			return nil, false
+		}
+		locals[hi] = s[len(s)-1]
+		locals[lo] = s[len(s)-2]
+		*stk = append(s[:len(s)-1], locals[hi])
+		return []Value{exact(in.Imm), locals[lo]}, true
+	}
+	// The other tee forms.
+	if len(s) == 0 || lo >= len(locals) {
+		return nil, false
+	}
+	locals[lo] = s[len(s)-1]
+	return []Value{exact(in.Imm), locals[lo]}, true
+}
+
+// doCall dispatches a call with its arguments popped: host imports
+// through the host model, local functions recursively. Each outcome that
+// returns continues at pc+1 with the callee's results pushed on stk.
+func (r *run) doCall(fv exec.IRFuncView, fi uint32, pc int, callee int64, args, locals, stk []Value, st *state, depth int) []result {
 	var subs []result
 	if int(callee) < r.e.nImp {
 		subs = r.hostCall(r.e.impName[callee], int(callee), args, st)
@@ -942,5 +1009,5 @@ func (r *run) doCall(fv exec.IRFuncView, fi uint32, pc int, callee int64, _ []Va
 		k2 = append(k2, sub.vals...)
 		out = append(out, r.exec(fv, fi, pc+1, l2, k2, sub.st, depth)...)
 	}
-	return out, true
+	return out
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/wasm"
 )
@@ -91,6 +92,32 @@ const (
 	irConstAddI32  // imm=addend: top = i32(top + imm)
 	irConstAddI64  // imm=addend: top = top + imm
 	irConstStore   // imm=value, x=store opcode, a=byte width, b=offset
+
+	// Host-call groups: a call of an imported function with no results
+	// whose arguments are constants and locals, the shapes the
+	// instrumenter emits for its hooks. One step writes the arguments
+	// where the source pushed them and calls the host function without a
+	// frame (see hostCall). a=callee; x=the fuel of the constituents up to
+	// and including the call, which is less than cost when the call is not
+	// the last constituent (see outOfFuel).
+	irHostC   // const c; call                              imm=c
+	irHostCL  // const c; local.get b; call                 imm=c
+	irHostCC  // const c1; const c2; call                   imm=c1|c2<<32
+	irHostCLL // const c; local.get l1; local.get l2; call  imm=c, b=l1|l2<<16
+	irHostTee // local.set b; const c; local.get b; call; local.get b   imm=c
+
+	// Hooked groups: a host-call group fused with the instruction it hooks.
+	// That instruction stays in the next slot in its plain form, for its
+	// operands and for absint, and is never dispatched on its own.
+	irHostTeeBrIf    // irHostTee, then the br_if of the next slot
+	irHostTeeBrIfZ   // irHostTee, then the lowered if of the next slot
+	irHostTeeBrTable // irHostTee, then the br_table of the next slot
+	irHostTeeLoad    // irHostTee on the address, then the load of the next slot
+	irHostTeeStore   // local.set v, irHostTee on the address, local.get v, then the store of the next slot; b=s|v<<16
+	irHostCmp        // local.set l2; local.set l1, irHostCLL, local.get l1; local.get l2, then the i64.eq/ne of the next slot
+	irHostCCCall     // irHostCC, then the call of the next slot
+
+	irNumOps // not an op: the number of ops
 )
 
 // irInstr is one decoded instruction. 24 bytes, flat slice, no pointers on
@@ -209,6 +236,7 @@ type tablePatch struct{ table, entry int }
 
 type compiler struct {
 	m         *wasm.Module
+	nImports  int // imported functions, the only callees a host-call group may have
 	out       []irInstr
 	srcs      []uint32 // source pc per emitted instruction, parallel to out
 	curSrc    uint32   // source pc of the instruction being lowered
@@ -234,6 +262,59 @@ func (c *compiler) emit(in irInstr) {
 }
 
 func (c *compiler) setBarrier() { c.barrier = len(c.out) }
+
+// prev returns the instruction emitted back places from the end of the
+// stream, or nil when a label may bind after it.
+func (c *compiler) prev(back int) *irInstr {
+	if len(c.out)-back < c.barrier {
+		return nil
+	}
+	return &c.out[len(c.out)-back]
+}
+
+// fuse replaces the last n emitted instructions with in, which keeps the
+// source pc of the first of them.
+func (c *compiler) fuse(n int, in irInstr) {
+	k := len(c.out) - n
+	c.out = append(c.out[:k], in)
+	c.srcs = c.srcs[:k+1]
+}
+
+// hook fuses the instruction about to be emitted into the host-call group
+// before it when that group is of kind from: the group becomes kind to,
+// charges the instruction's fuel, and the instruction follows it in its
+// plain form.
+func (c *compiler) hook(from, to irOp) {
+	if p := c.prev(1); p != nil && p.op == from {
+		p.op = to
+		p.cost++
+	}
+}
+
+// fuseHostCall fuses a call of the import h, which takes n parameters and
+// returns nothing, with the constants and local.gets that pushed its
+// arguments. Each group's x is its full cost: its call comes last.
+func (c *compiler) fuseHostCall(h uint32, n int) bool {
+	p1, p2, p3 := c.prev(1), c.prev(2), c.prev(3)
+	var g irInstr
+	switch {
+	case n == 1 && p1 != nil && p1.op == irConst:
+		g = irInstr{op: irHostC, cost: p1.cost + 1, imm: p1.imm}
+	case n == 2 && p2 != nil && p2.op == irConst && p1.op == irLocalGet:
+		g = irInstr{op: irHostCL, cost: p2.cost + p1.cost + 1, b: p1.a, imm: p2.imm}
+	case n == 2 && p2 != nil && p2.op == irConst && p1.op == irConst &&
+		p2.imm <= math.MaxUint32 && p1.imm <= math.MaxUint32:
+		g = irInstr{op: irHostCC, cost: p2.cost + p1.cost + 1, imm: p2.imm | p1.imm<<32}
+	case n == 3 && p3 != nil && p3.op == irConst && p2.op == irLocalGet && p1.op == irLocalGet &&
+		p2.a < 1<<16 && p1.a < 1<<16:
+		g = irInstr{op: irHostCLL, cost: p3.cost + p2.cost + p1.cost + 1, b: p2.a | p1.a<<16, imm: p3.imm}
+	default:
+		return false
+	}
+	g.a, g.x = h, uint8(g.cost)
+	c.fuse(n, g)
+	return true
+}
 
 // need checks the operand stack holds at least n values; the reference
 // interpreter would panic (→ host-error trap) otherwise, so we reject.
@@ -265,6 +346,7 @@ func compileFunc(m *wasm.Module, code *wasm.Code, ft wasm.FuncType) (fn *irFunc,
 	}
 	c := &compiler{
 		m:         m,
+		nImports:  m.NumImportedFuncs(),
 		nLocals:   len(ft.Params) + int(code.NumLocals()),
 		fnResults: uint8(len(ft.Results)),
 	}
@@ -340,6 +422,7 @@ func (c *compiler) instr(in *wasm.Instr) error {
 			return err
 		}
 		c.height--
+		c.hook(irHostTee, irHostTeeBrIfZ)
 		c.emit(irInstr{op: irBrIfZ, cost: 1, b: uint32(c.height)})
 		c.frames = append(c.frames, cFrame{
 			isIf: true, entryH: c.height, hasResult: in.A != wasm.BlockTypeEmpty,
@@ -359,6 +442,7 @@ func (c *compiler) instr(in *wasm.Instr) error {
 			return err
 		}
 		c.height--
+		c.hook(irHostTee, irHostTeeBrIf)
 		if err := c.branch(irBrIf, int(in.A)); err != nil {
 			return err
 		}
@@ -397,6 +481,7 @@ func (c *compiler) instr(in *wasm.Instr) error {
 			entries[i] = irTarget{unwind: uint32(fr.entryH), keep: uint8(keep)}
 			fr.tpatches = append(fr.tpatches, tablePatch{table: ti, entry: i})
 		}
+		c.hook(irHostTee, irHostTeeBrTable)
 		c.emit(irInstr{op: irBrTable, cost: 1, a: uint32(ti)})
 		c.dead = true
 	case wasm.OpReturn:
@@ -413,6 +498,10 @@ func (c *compiler) instr(in *wasm.Instr) error {
 			return err
 		}
 		c.adjust(len(ft.Params), len(ft.Results))
+		if len(ft.Results) == 0 && int(in.A) < c.nImports && c.fuseHostCall(in.A, len(ft.Params)) {
+			return nil
+		}
+		c.hook(irHostCC, irHostCCCall)
 		c.emit(irInstr{op: irCall, cost: 1, a: in.A})
 	case wasm.OpCallIndirect:
 		if int(in.A) >= len(c.m.Types) {
@@ -441,6 +530,14 @@ func (c *compiler) instr(in *wasm.Instr) error {
 			return fmt.Errorf("local %d out of range", in.A)
 		}
 		c.adjust(0, 1)
+		if p1, p2 := c.prev(1), c.prev(2); p2 != nil && p1.op == irHostCL && p2.op == irLocalSet &&
+			p1.b == in.A && p2.a == in.A && in.A < 1<<16 {
+			// The tee form: the argument is a value the group takes off
+			// the stack, stores and puts back.
+			prefix := p2.cost + p1.cost
+			c.fuse(2, irInstr{op: irHostTee, cost: prefix + 1, x: uint8(prefix), a: p1.a, b: in.A, imm: p1.imm})
+			return nil
+		}
 		c.emit(irInstr{op: irLocalGet, cost: 1, a: in.A})
 	case wasm.OpLocalSet:
 		if int(in.A) >= c.nLocals {
@@ -715,24 +812,30 @@ func numericEffect(op wasm.Opcode) (pops, pushes int, ok bool) {
 // lowerDataOp handles loads, stores and numeric opcodes, applying the
 // superinstruction peephole where a label cannot intervene.
 func (c *compiler) lowerDataOp(in *wasm.Instr) error {
-	prev := func(back int) *irInstr {
-		if len(c.out)-back < c.barrier {
-			return nil
-		}
-		return &c.out[len(c.out)-back]
-	}
+	prev := c.prev
 	switch {
 	case in.Op.IsLoad():
 		if err := c.need(1); err != nil {
 			return err
 		}
 		c.adjust(1, 1)
+		c.hook(irHostTee, irHostTeeLoad)
 		c.emit(irInstr{op: irLoad, cost: 1, x: uint8(in.Op), a: uint32(in.Op.MemBytes()), b: in.B})
 	case in.Op.IsStore():
 		if err := c.need(2); err != nil {
 			return err
 		}
 		c.adjust(2, 0)
+		if p1, p2, p3 := prev(1), prev(2), prev(3); p3 != nil && p3.op == irLocalSet && p2.op == irHostTee &&
+			p1.op == irLocalGet && p1.a == p3.a && p1.a < 1<<16 {
+			// The store hook: the value goes to a local, the tee logs the
+			// address, and the value comes back for the store in the
+			// next slot.
+			c.fuse(3, irInstr{op: irHostTeeStore, cost: p3.cost + p2.cost + p1.cost + 1, x: uint8(p3.cost) + p2.x,
+				a: p2.a, b: p2.b | p1.a<<16, imm: p2.imm})
+			c.emit(irInstr{op: irStore, cost: 1, x: uint8(in.Op), a: uint32(in.Op.MemBytes()), b: in.B})
+			return nil
+		}
 		if p := prev(1); p != nil && p.op == irConst {
 			// const+store fusion: the value is an immediate.
 			*p = irInstr{op: irConstStore, cost: p.cost + 1, x: uint8(in.Op), a: uint32(in.Op.MemBytes()), b: in.B, imm: p.imm}
@@ -762,12 +865,20 @@ func (c *compiler) lowerDataOp(in *wasm.Instr) error {
 				if in.Op == wasm.OpI64Add {
 					fused = irGetGetAddI64
 				}
-				cost := p1.cost + p2.cost + 1
-				fi := irInstr{op: fused, cost: cost, a: p2.a, b: p1.a}
-				c.out = c.out[:len(c.out)-2]
-				c.srcs = c.srcs[:len(c.srcs)-2]
-				c.emit(fi)
+				c.fuse(2, irInstr{op: fused, cost: p1.cost + p2.cost + 1, a: p2.a, b: p1.a})
 				return nil
+			}
+		}
+		if in.Op == wasm.OpI64Eq || in.Op == wasm.OpI64Ne {
+			// The comparison hook: both operands go to locals, the call
+			// logs them, and they come back for the comparison in the
+			// next slot.
+			p1, p2, p3, p4, p5 := prev(1), prev(2), prev(3), prev(4), prev(5)
+			if p5 != nil && p5.op == irLocalSet && p4.op == irLocalSet && p3.op == irHostCLL &&
+				p2.op == irLocalGet && p1.op == irLocalGet && p4.a == p3.b&0xffff && p5.a == p3.b>>16 &&
+				p2.a == p4.a && p1.a == p5.a {
+				c.fuse(5, irInstr{op: irHostCmp, cost: p5.cost + p4.cost + p3.cost + p2.cost + p1.cost + 1,
+					x: uint8(p5.cost+p4.cost) + p3.x, a: p3.a, b: p3.b, imm: p3.imm})
 			}
 		}
 		if op, ok := inlineOps[in.Op]; ok {

@@ -78,6 +78,23 @@ const (
 	IRConstAddI32  IROp = irConstAddI32
 	IRConstAddI64  IROp = irConstAddI64
 	IRConstStore   IROp = irConstStore
+
+	IRHostC          IROp = irHostC
+	IRHostCL         IROp = irHostCL
+	IRHostCC         IROp = irHostCC
+	IRHostCLL        IROp = irHostCLL
+	IRHostTee        IROp = irHostTee
+	IRHostTeeBrIf    IROp = irHostTeeBrIf
+	IRHostTeeBrIfZ   IROp = irHostTeeBrIfZ
+	IRHostTeeBrTable IROp = irHostTeeBrTable
+	IRHostTeeLoad    IROp = irHostTeeLoad
+	IRHostTeeStore   IROp = irHostTeeStore
+	IRHostCmp        IROp = irHostCmp
+	IRHostCCCall     IROp = irHostCCCall
+
+	// IRNumOps is one past the last op: every IROp below it is one of the
+	// forms above.
+	IRNumOps IROp = irNumOps
 )
 
 // IRInstr is the exported value form of one decoded instruction, plus the
